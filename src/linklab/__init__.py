@@ -20,7 +20,6 @@ from .data import (
 )
 from .defenses import (
     DefenseConfig,
-    apply_defended_query,
     edge_rand,
     label_only_feature,
     lap_graph,
@@ -35,11 +34,11 @@ from .experiment import (
     run_transfer,
 )
 from .features import (
+    PosteriorTable,
     QueryContext,
     graph_block,
     node_attr_block,
     pairwise_ops,
-    posterior_block,
     transfer_block,
 )
 from .gnn import (

@@ -14,15 +14,15 @@ import numpy as np
 
 from . import nn
 from .data import PairDataset
-from .defenses import DefenseConfig, apply_defended_query
+from .defenses import DefenseConfig, label_only_feature, query_temperature
 from .features import (
+    PosteriorTable,
     QueryContext,
     graph_block,
     node_attr_block,
     pairwise_concat,
     transfer_block,
 )
-from .gnn import TrainedGnn
 from .graph import Graph
 from .nn import Parameter, Tensor
 from .rng import stream
@@ -189,24 +189,39 @@ def mlp_forward(model: MultiInputMlp, inputs: dict[str, np.ndarray], training: b
     return nn.add(nn.matmul(joined, model.head_w), model.head_b)
 
 
-def assemble_features(spec: AttackSpec, model: TrainedGnn | None, graph: Graph,
+def _require_table_on(table: PosteriorTable | None, graph: Graph, source: str) -> None:
+    """Posteriors must come from the graph the pairs were drawn from."""
+    if table is not None and table.graph is not graph:
+        sizes = [f"{g.num_nodes} nodes, {g.num_edges} edges" for g in (table.graph, graph)]
+        raise ValueError(f"posterior table graph ({sizes[0]}) is not the graph "
+                         f"of the {source} ({sizes[1]})")
+
+
+def assemble_features(spec: AttackSpec, table: PosteriorTable | None, graph: Graph,
                       pair: tuple[int, int], defense: DefenseConfig | None = None,
                       transfer: bool = False, pairwise: str = "all",
                       collect_posteriors: list | None = None) -> dict[str, np.ndarray]:
-    """One feature vector per active input kind for a single node pair."""
+    """One feature vector per active input kind for a single node pair;
+    posteriors come from ``table``, bound to ``graph`` at the defense's
+    query temperature."""
     u, v = pair
     if spec.uses_graph_feats and spec.hop == 0:
         raise ValueError(f"{spec.attack_id}: graph features unavailable at hop 0")
     ctx = QueryContext.build(graph, u, v, spec.hop)
     out: dict[str, np.ndarray] = {}
     if spec.uses_posteriors:
-        if model is None:
-            raise ValueError("posterior features need a trained model")
-        reply = apply_defended_query(model, ctx, defense)
-        if reply.kind == "label_only":
-            out["posterior"] = reply.label_feature
+        if table is None:
+            raise ValueError("posterior features need a posterior table")
+        _require_table_on(table, graph, "pair")
+        if table.temperature != query_temperature(defense):
+            raise ValueError(f"posterior table answers at temperature {table.temperature}, "
+                             f"the defense at {query_temperature(defense)}")
+        post_u, post_v = table.query(u, spec.hop, pair), table.query(v, spec.hop, pair)
+        if defense is not None and defense.kind == "label_only":
+            out["posterior"] = label_only_feature(
+                int(np.argmax(post_u)), int(np.argmax(post_v)), table.model.num_classes
+            )
         else:
-            post_u, post_v = reply.posteriors
             if collect_posteriors is not None:
                 collect_posteriors.append(post_u)
                 collect_posteriors.append(post_v)
@@ -221,14 +236,14 @@ def assemble_features(spec: AttackSpec, model: TrainedGnn | None, graph: Graph,
     return out
 
 
-def build_attack_matrix(spec: AttackSpec, model: TrainedGnn | None, graph: Graph,
+def build_attack_matrix(spec: AttackSpec, table: PosteriorTable | None, graph: Graph,
                         pairs, defense: DefenseConfig | None = None, transfer: bool = False,
                         pairwise: str = "all",
                         collect_posteriors: list | None = None) -> dict[str, np.ndarray]:
     """Stack per-pair feature vectors into one matrix per input kind."""
     rows: dict[str, list[np.ndarray]] = {}
     for pair in pairs:
-        vecs = assemble_features(spec, model, graph, (pair[0], pair[1]), defense=defense,
+        vecs = assemble_features(spec, table, graph, (pair[0], pair[1]), defense=defense,
                                  transfer=transfer, pairwise=pairwise,
                                  collect_posteriors=collect_posteriors)
         for kind, vec in vecs.items():
@@ -277,12 +292,13 @@ def infer_link(model: MultiInputMlp, features: dict[str, np.ndarray]) -> LinkVer
     return LinkVerdict(score=score, decision=int(score >= 0.5))
 
 
-def attack_dataset_inputs(spec: AttackSpec, model: TrainedGnn | None, dataset: PairDataset,
+def attack_dataset_inputs(spec: AttackSpec, table: PosteriorTable | None, dataset: PairDataset,
                           defense: DefenseConfig | None = None, transfer: bool = False,
                           pairwise: str = "all",
                           collect_posteriors: list | None = None) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Feature matrices plus labels for every pair in a PairDataset."""
-    mats = build_attack_matrix(spec, model, dataset.graph, dataset.node_pairs,
+    _require_table_on(table, dataset.graph, f"{dataset.provenance} pairs")
+    mats = build_attack_matrix(spec, table, dataset.graph, dataset.node_pairs,
                                defense=defense, transfer=transfer, pairwise=pairwise,
                                collect_posteriors=collect_posteriors)
     return mats, dataset.labels

@@ -16,9 +16,6 @@ import numpy as np
 from .graph import Graph, induced_subgraph, normalize_edge
 from .rng import stream
 
-SHADOW_FRACTIONS = (0.1, 0.2, 0.3, 0.5, 1.0)
-
-
 @dataclass(frozen=True)
 class SplitBundle:
     """The four disjoint working graphs plus their source-id maps."""

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import QueryContext
-from .gnn import TrainedGnn, khop_query, predict_label
 from .graph import Graph, adjacency_matrix, graph_from_adjacency
 from .rng import stream
 
@@ -38,6 +36,17 @@ class DefenseConfig:
                 raise ValueError("differential-privacy defenses need epsilon > 0")
             if not (0.0 < self.budget_split < 1.0):
                 raise ValueError("budget_split must lie in (0, 1)")
+
+
+def query_temperature(defense: DefenseConfig | None) -> float:
+    """Softmax temperature of the posteriors a defended model answers with.
+
+    Label-only replies are argmaxes of the T=1 posteriors; the DP mechanisms
+    leave query-time behavior untouched.
+    """
+    if defense is not None and defense.kind == "soft_posterior":
+        return defense.temperature
+    return 1.0
 
 
 def label_only_feature(label_u: int, label_v: int, num_classes: int) -> np.ndarray:
@@ -125,36 +134,3 @@ def perturb_graph(g: Graph, defense: DefenseConfig, seed: int) -> Graph:
     else:
         perturbed = lap_graph(adj, defense.epsilon, defense.budget_split, seed)
     return graph_from_adjacency(perturbed, g.features, g.labels)
-
-
-@dataclass(frozen=True)
-class DefendedPairQuery:
-    """What the adversary gets back for one pair under a defense."""
-
-    kind: str
-    posteriors: tuple[np.ndarray, np.ndarray] | None = None
-    label_feature: np.ndarray | None = None
-
-
-def apply_defended_query(model: TrainedGnn, ctx: QueryContext,
-                         defense: DefenseConfig | None) -> DefendedPairQuery:
-    """Query both subgraphs of ``ctx`` through the defense's output channel.
-
-    Label-only collapses the pair into a single one-hot-sum vector;
-    soft posteriors raise the softmax temperature; the DP mechanisms leave
-    query-time behavior untouched.
-    """
-    kind = defense.kind if defense is not None else "none"
-    if ctx.hop is None:
-        raise ValueError("defended queries need a query hop")
-    if kind == "label_only":
-        feature = label_only_feature(
-            predict_label(model, ctx.sub_u),
-            predict_label(model, ctx.sub_v),
-            model.num_classes,
-        )
-        return DefendedPairQuery(kind=kind, label_feature=feature)
-    temperature = defense.temperature if kind == "soft_posterior" else 1.0
-    posts = (khop_query(model, ctx.sub_u, temperature),
-             khop_query(model, ctx.sub_v, temperature))
-    return DefendedPairQuery(kind=kind, posteriors=posts)

@@ -34,8 +34,8 @@ from .data import (
     make_splits,
     write_split_manifest,
 )
-from .defenses import DP_KINDS, DefenseConfig, perturb_graph
-from .features import cosine_similarity, proximity_counts
+from .defenses import DP_KINDS, DefenseConfig, perturb_graph, query_temperature
+from .features import PosteriorTable, cosine_similarity, proximity_counts
 from .gnn import ARCHITECTURES, TrainedGnn, evaluate_accuracy, save_gnn, train_gnn
 from .graph import Graph, load_dataset
 from .metrics import (
@@ -229,6 +229,10 @@ def _single_run(cfg: ExperimentConfig, graph: Graph, run_idx: int, keep: bool,
     target_acc = evaluate_accuracy(target, bundle.target_test)
     shadow_acc = evaluate_accuracy(shadow, shadow_bundle.shadow_test)
 
+    temperature = query_temperature(defense)
+    shadow_table = PosteriorTable(shadow, attack_train.graph, temperature)
+    target_table = PosteriorTable(target, attack_test.graph, temperature)
+
     aucs: dict[str, float] = {}
     models: dict[str, MultiInputMlp] = {}
     score_map: dict[str, np.ndarray] = {}
@@ -243,7 +247,7 @@ def _single_run(cfg: ExperimentConfig, graph: Graph, run_idx: int, keep: bool,
             )
         with _stage(f"attack-{attack_id}"):
             train_inputs, train_labels = attack_dataset_inputs(
-                spec, shadow, attack_train, defense=defense, transfer=transfer,
+                spec, shadow_table, attack_train, defense=defense, transfer=transfer,
                 pairwise=cfg.pairwise,
             )
             attack_model = train_attack(
@@ -254,7 +258,7 @@ def _single_run(cfg: ExperimentConfig, graph: Graph, run_idx: int, keep: bool,
             )
             collector: list | None = [] if keep and spec.uses_posteriors else None
             test_inputs, test_labels = attack_dataset_inputs(
-                spec, target, attack_test, defense=defense, transfer=transfer,
+                spec, target_table, attack_test, defense=defense, transfer=transfer,
                 pairwise=cfg.pairwise, collect_posteriors=collector,
             )
             scores = link_scores(attack_model, test_inputs)

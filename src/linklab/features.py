@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gnn import TrainedGnn, khop_query
-from .graph import Graph, Subgraph, khop_subgraph, neighbors
+from .graph import Edge, Graph, khop_subgraph, neighbors, normalize_edge
 
 PAIRWISE_OP_NAMES = ("hadamard", "average", "weighted_l1", "weighted_l2")
 GRAPH_FEATURE_NAMES = ("common_neighbors", "jaccard", "preferential_attachment")
@@ -45,29 +45,53 @@ def pairwise_concat(a: np.ndarray, b: np.ndarray, ops: str = "all") -> np.ndarra
 
 @dataclass(frozen=True)
 class QueryContext:
-    """The adversary's view of one node pair: the hop level and the two
-    query subgraphs with the attacked edge removed. Baselines carry
-    ``hop=None`` and no subgraphs."""
+    """The adversary's view of one node pair and its query hop. Baselines
+    carry ``hop=None``."""
 
     graph: Graph
     u: int
     v: int
     hop: int | None
-    sub_u: Subgraph | None
-    sub_v: Subgraph | None
 
     @classmethod
     def build(cls, graph: Graph, u: int, v: int, hop: int | None) -> "QueryContext":
         if u == v:
             raise ValueError("a pair needs two distinct nodes")
-        if hop is None:
-            return cls(graph=graph, u=u, v=v, hop=None, sub_u=None, sub_v=None)
-        exclude = (u, v)
-        return cls(
-            graph=graph, u=u, v=v, hop=hop,
-            sub_u=khop_subgraph(graph, u, hop, exclude=exclude),
-            sub_v=khop_subgraph(graph, v, hop, exclude=exclude),
-        )
+        return cls(graph=graph, u=u, v=v, hop=hop)
+
+
+class PosteriorTable:
+    """Center posteriors of one trained model on one query graph at one
+    output temperature, each distinct k-hop query computed once per run.
+
+    The key drops an exclusion that cannot change the query subgraph: any
+    exclusion at hop 0, and a non-edge at any hop. Every stored posterior
+    is thus bitwise the ``khop_query`` of the pair's own ``khop_subgraph``.
+    """
+
+    def __init__(self, model: TrainedGnn, graph: Graph, temperature: float = 1.0):
+        if temperature <= 0:
+            raise ValueError(f"temperature must be positive, got {temperature}")
+        self.model = model
+        self.graph = graph
+        self.temperature = float(temperature)
+        self._posteriors: dict[tuple[int, int, Edge | None], np.ndarray] = {}
+
+    def query(self, center: int, hop: int, exclude: Edge | None = None) -> np.ndarray:
+        """Read-only posterior of ``center`` on its ``hop``-hop subgraph
+        with the edge ``exclude`` removed."""
+        if hop == 0 or exclude is None or not self.graph.has_edge(*exclude):
+            exclude = None
+        else:
+            exclude = normalize_edge(*exclude)
+        key = (center, hop, exclude)
+        post = self._posteriors.get(key)
+        if post is None:
+            post = khop_query(self.model, khop_subgraph(self.graph, center, hop, exclude=exclude),
+                              self.temperature)
+            post.setflags(write=False)
+            self._posteriors[key] = post
+        return post
 
 
 def require_distribution(p: np.ndarray) -> np.ndarray:
@@ -77,16 +101,6 @@ def require_distribution(p: np.ndarray) -> np.ndarray:
     if p.min() < -1e-9 or abs(p.sum() - 1.0) > 1e-6:
         raise ValueError("posterior is not a probability distribution")
     return p
-
-
-def posterior_block(model: TrainedGnn, ctx: QueryContext, temperature: float = 1.0,
-                    ops: str = "all") -> np.ndarray:
-    """Pairwise-combined posteriors of the two query subgraphs."""
-    if ctx.hop is None:
-        raise ValueError("posterior features need a query hop")
-    post_u = khop_query(model, ctx.sub_u, temperature)
-    post_v = khop_query(model, ctx.sub_v, temperature)
-    return pairwise_concat(post_u, post_v, ops)
 
 
 def node_attr_block(features_u: np.ndarray, features_v: np.ndarray) -> np.ndarray:
@@ -184,15 +198,6 @@ def transfer_block(post_u: np.ndarray, post_v: np.ndarray) -> np.ndarray:
         correlation_distance(pu, pv),
     ])
     return np.concatenate([ent_parts, similarity])
-
-
-def transfer_posterior_block(model: TrainedGnn, ctx: QueryContext,
-                             temperature: float = 1.0) -> np.ndarray:
-    if ctx.hop is None:
-        raise ValueError("posterior features need a query hop")
-    post_u = khop_query(model, ctx.sub_u, temperature)
-    post_v = khop_query(model, ctx.sub_v, temperature)
-    return transfer_block(post_u, post_v)
 
 
 def posterior_block_names(num_classes: int, ops: str = "all") -> list[str]:

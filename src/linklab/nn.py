@@ -82,11 +82,13 @@ class Parameter(Tensor):
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     if not np.all(np.isfinite(data)):
         raise FloatingPointError("non-finite values produced in forward pass")
-    out = Tensor(data)
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(p for p in parents if p.requires_grad)
-        out._backward = backward
+    # Built without Tensor.__init__, which would repeat the check above.
+    out = Tensor.__new__(Tensor)
+    out.data = data
+    out.grad = None
+    out._parents = tuple(p for p in parents if p.requires_grad)
+    out.requires_grad = bool(out._parents)
+    out._backward = backward if out.requires_grad else None
     return out
 
 

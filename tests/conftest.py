@@ -8,6 +8,7 @@ import pytest
 from linklab.attacks import ALL_ATTACK_IDS, attack_dataset_inputs, spec_for, train_attack
 from linklab.data import build_pair_dataset, generate_planted_partition, make_splits
 from linklab.experiment import ExperimentConfig, SyntheticSpec, run_experiment
+from linklab.features import PosteriorTable
 from linklab.gnn import train_gnn
 
 # The desk-scale reference graph used by the signal-recovery criteria.
@@ -41,9 +42,10 @@ def symmetry_pipeline():
     shadow = train_gnn(bundle.shadow_train, "sage", seed=5, num_classes=g.num_classes, epochs=60)
     target = train_gnn(bundle.target_train, "sage", seed=6, num_classes=g.num_classes, epochs=60)
     attack_train = build_pair_dataset(bundle.shadow_train, seed=7, provenance="shadow_train")
+    table = PosteriorTable(shadow, attack_train.graph)
     models = {}
     for attack_id in ALL_ATTACK_IDS:
-        inputs, labels = attack_dataset_inputs(spec_for(attack_id), shadow, attack_train)
+        inputs, labels = attack_dataset_inputs(spec_for(attack_id), table, attack_train)
         models[attack_id] = train_attack(attack_id, inputs, labels, seed=8, epochs=60)
     return bundle.target_train, target, models
 

@@ -14,7 +14,7 @@ from linklab.attacks import ALL_ATTACK_IDS, assemble_features, infer_link, spec_
 from linklab.data import generate_planted_partition
 from linklab.defenses import DefenseConfig, lap_graph, lap_graph_edge_estimate
 from linklab.experiment import ExperimentConfig, run_defense_sweep
-from linklab.features import QueryContext, graph_block
+from linklab.features import PosteriorTable, QueryContext, graph_block
 from linklab.gnn import ARCHITECTURES, MessageStructure, gnn_forward, init_gnn
 from linklab.graph import adjacency_matrix, khop_subgraph, neighbors, normalize_edge
 from linklab.metrics import auc, average_ranks, pearson_correlation
@@ -199,14 +199,17 @@ def test_criterion_3_symmetry_suite(symmetry_pipeline):
     while len(pairs) < 200:
         u, v = (int(x) for x in rng.choice(graph.num_nodes, size=2, replace=False))
         pairs.append((u, v))
+
+    def score(attack_id, pair):
+        # a fresh table per orientation, so no posterior is shared
+        table = PosteriorTable(target, graph)
+        return infer_link(models[attack_id],
+                          assemble_features(spec_for(attack_id), table, graph, pair)).score
+
     mismatches = 0
     for attack_id in ALL_ATTACK_IDS:
-        spec = spec_for(attack_id)
-        model = models[attack_id]
         for u, v in pairs:
-            fwd = infer_link(model, assemble_features(spec, target, graph, (u, v)))
-            rev = infer_link(model, assemble_features(spec, target, graph, (v, u)))
-            if fwd.score != rev.score:
+            if score(attack_id, (u, v)) != score(attack_id, (v, u)):
                 mismatches += 1
     report_line("criterion-3 symmetry suite", mismatches == 0,
                 f"{len(ALL_ATTACK_IDS)} specs x 200 pairs, {mismatches} mismatches")

@@ -15,6 +15,7 @@ from linklab.attacks import (
     train_attack,
 )
 from linklab.data import build_pair_dataset, generate_planted_partition, make_splits
+from linklab.features import PosteriorTable
 from linklab.gnn import train_gnn
 from linklab.metrics import auc
 from linklab.nn import Tensor
@@ -117,7 +118,7 @@ class TestAssembleFeatures:
     def test_attack0_vector_length(self, pipeline):
         g, bundle, shadow, ds = pipeline
         u, v, _ = ds.pairs[0]
-        feats = assemble_features(spec_for("a0"), shadow, ds.graph, (u, v))
+        feats = assemble_features(spec_for("a0"), PosteriorTable(shadow, ds.graph), ds.graph, (u, v))
         assert set(feats) == {"posterior"}
         assert feats["posterior"].shape == (4 * g.num_classes,)
 
@@ -126,7 +127,7 @@ class TestAssembleFeatures:
 
         g = generate_planted_partition(70, 7, 0.3, 0.02, 6, 1.0, seed=2)
         model = init_gnn("gcn", 6, 7, np.random.default_rng(0), hidden=8)
-        feats = assemble_features(spec_for("a0"), model, g, (0, 1))
+        feats = assemble_features(spec_for("a0"), PosteriorTable(model, g), g, (0, 1))
         assert feats["posterior"].shape == (28,)
 
     def test_baseline1_vector(self, pipeline):
@@ -139,7 +140,7 @@ class TestAssembleFeatures:
     def test_attack9_three_kinds(self, pipeline):
         g, _, shadow, ds = pipeline
         u, v, _ = ds.pairs[0]
-        feats = assemble_features(spec_for("a9"), shadow, ds.graph, (u, v))
+        feats = assemble_features(spec_for("a9"), PosteriorTable(shadow, ds.graph), ds.graph, (u, v))
         assert set(feats) == {"posterior", "node_attr", "graph"}
         assert feats["posterior"].shape == (4 * g.num_classes,)
         assert feats["node_attr"].shape == (ds.graph.feature_dim,)
@@ -152,12 +153,13 @@ class TestAssembleFeatures:
         bogus = AttackSpec("custom", 0, True, False, True)
         u, v, _ = ds.pairs[0]
         with pytest.raises(ValueError):
-            assemble_features(bogus, shadow, ds.graph, (u, v))
+            assemble_features(bogus, PosteriorTable(shadow, ds.graph), ds.graph, (u, v))
 
     def test_transfer_posterior_width(self, pipeline):
         _, _, shadow, ds = pipeline
         u, v, _ = ds.pairs[0]
-        feats = assemble_features(spec_for("a1"), shadow, ds.graph, (u, v), transfer=True)
+        feats = assemble_features(spec_for("a1"), PosteriorTable(shadow, ds.graph), ds.graph, (u, v),
+                                  transfer=True)
         assert feats["posterior"].shape == (7,)
 
 
@@ -250,13 +252,17 @@ class TestInferLink:
 class TestEndToEndProperties:
     def test_order_invariance_quick(self, pipeline):
         g, bundle, shadow, ds = pipeline
-        inputs, labels = attack_dataset_inputs(spec_for("a1"), shadow, ds)
+        inputs, labels = attack_dataset_inputs(spec_for("a1"), PosteriorTable(shadow, ds.graph), ds)
         model = train_attack("a1", inputs, labels, seed=5, epochs=40)
         rng = np.random.default_rng(11)
+
+        def features(pair):
+            return assemble_features(spec_for("a1"), PosteriorTable(shadow, ds.graph), ds.graph, pair)
+
         for _ in range(20):
             u, v, _ = ds.pairs[int(rng.integers(len(ds.pairs)))]
-            fwd = infer_link(model, assemble_features(spec_for("a1"), shadow, ds.graph, (u, v)))
-            rev = infer_link(model, assemble_features(spec_for("a1"), shadow, ds.graph, (v, u)))
+            fwd = infer_link(model, features((u, v)))
+            rev = infer_link(model, features((v, u)))
             assert fwd.score == rev.score
 
     def test_depth_ablation_stable_auc(self, pipeline):
@@ -264,8 +270,10 @@ class TestEndToEndProperties:
         g, bundle, shadow, ds = pipeline
         target = train_gnn(bundle.target_train, "sage", seed=13, num_classes=g.num_classes, epochs=60)
         test_ds = build_pair_dataset(bundle.target_train, seed=6, provenance="target_train")
-        train_inputs, train_labels = attack_dataset_inputs(spec_for("a1"), shadow, ds)
-        test_inputs, test_labels = attack_dataset_inputs(spec_for("a1"), target, test_ds)
+        train_inputs, train_labels = attack_dataset_inputs(
+            spec_for("a1"), PosteriorTable(shadow, ds.graph), ds)
+        test_inputs, test_labels = attack_dataset_inputs(
+            spec_for("a1"), PosteriorTable(target, test_ds.graph), test_ds)
         aucs = []
         for depth in (2, 3, 4, 5):
             model = train_attack("a1", train_inputs, train_labels, seed=7, epochs=200, depth=depth)

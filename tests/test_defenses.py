@@ -6,17 +6,18 @@ import math
 import numpy as np
 import pytest
 
+from linklab.attacks import assemble_features, spec_for
 from linklab.defenses import (
     DefenseConfig,
-    apply_defended_query,
     edge_rand,
     label_only_feature,
     lap_graph,
     lap_graph_edge_estimate,
     perturb_graph,
+    query_temperature,
 )
 from linklab.data import generate_planted_partition, make_splits
-from linklab.features import QueryContext
+from linklab.features import PosteriorTable
 from linklab.gnn import khop_query, predict_label, train_gnn
 from linklab.graph import adjacency_matrix, khop_subgraph
 
@@ -163,24 +164,33 @@ def defended_setup():
 
 
 class TestApplyDefendedQuery:
-    def _ctx(self, bundle):
+    """The defended output channels, answered from a PosteriorTable."""
+
+    def _pair(self, bundle):
         graph = bundle.target_train
         u, v = sorted(graph.edges)[0]
-        return graph, QueryContext.build(graph, u, v, 1)
+        return graph, u, v
+
+    def _features(self, model, graph, u, v, defense):
+        table = PosteriorTable(model, graph, query_temperature(defense))
+        return assemble_features(spec_for("a1"), table, graph, (u, v), defense=defense)["posterior"]
 
     def test_none_matches_khop_query(self, defended_setup):
         _, bundle, model = defended_setup
-        graph, ctx = self._ctx(bundle)
-        reply = apply_defended_query(model, ctx, None)
-        np.testing.assert_array_equal(reply.posteriors[0], khop_query(model, ctx.sub_u))
-        np.testing.assert_array_equal(reply.posteriors[1], khop_query(model, ctx.sub_v))
+        graph, u, v = self._pair(bundle)
+        table = PosteriorTable(model, graph, query_temperature(None))
+        for c in (u, v):
+            np.testing.assert_array_equal(
+                table.query(c, 1, (u, v)),
+                khop_query(model, khop_subgraph(graph, c, 1, exclude=(u, v))))
 
     def test_soft_temperature_one_is_identity(self, defended_setup):
         _, bundle, model = defended_setup
-        graph, ctx = self._ctx(bundle)
-        soft = apply_defended_query(model, ctx, DefenseConfig(kind="soft_posterior", temperature=1.0))
-        plain = apply_defended_query(model, ctx, None)
-        np.testing.assert_array_equal(soft.posteriors[0], plain.posteriors[0])
+        graph, u, v = self._pair(bundle)
+        soft = DefenseConfig(kind="soft_posterior", temperature=1.0)
+        assert query_temperature(soft) == 1.0
+        np.testing.assert_array_equal(self._features(model, graph, u, v, soft),
+                                      self._features(model, graph, u, v, None))
 
     def test_soft_posterior_argmax_unchanged(self, defended_setup):
         _, bundle, model = defended_setup
@@ -198,18 +208,18 @@ class TestApplyDefendedQuery:
         rng = np.random.default_rng(12)
         for _ in range(25):
             u, v = rng.choice(graph.num_nodes, size=2, replace=False)
-            ctx = QueryContext.build(graph, int(u), int(v), 1)
-            reply = apply_defended_query(model, ctx, cfg)
-            nonzero = np.count_nonzero(reply.label_feature)
+            feature = self._features(model, graph, int(u), int(v), cfg)
+            nonzero = np.count_nonzero(feature)
             assert nonzero in (1, 2)
-            assert reply.label_feature.sum() == 2.0
+            assert feature.sum() == 2.0
 
     def test_dp_kinds_leave_queries_unchanged(self, defended_setup):
         _, bundle, model = defended_setup
-        graph, ctx = self._ctx(bundle)
-        dp = apply_defended_query(model, ctx, DefenseConfig(kind="edge_rand", epsilon=2.0))
-        plain = apply_defended_query(model, ctx, None)
-        np.testing.assert_array_equal(dp.posteriors[0], plain.posteriors[0])
+        graph, u, v = self._pair(bundle)
+        dp = DefenseConfig(kind="edge_rand", epsilon=2.0)
+        assert query_temperature(dp) == 1.0
+        np.testing.assert_array_equal(self._features(model, graph, u, v, dp),
+                                      self._features(model, graph, u, v, None))
 
 
 class TestPerturbGraph:

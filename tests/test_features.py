@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from linklab.attacks import assemble_features, spec_for
 from linklab.data import generate_planted_partition, make_splits
 from linklab.features import (
+    PosteriorTable,
     QueryContext,
     correlation_distance,
     entropy,
@@ -16,7 +18,6 @@ from linklab.features import (
     node_attr_block,
     pairwise_concat,
     pairwise_ops,
-    posterior_block,
     posterior_block_names,
     proximity_counts,
     transfer_block,
@@ -206,19 +207,24 @@ def trained():
     return bundle.shadow_train, model
 
 
+def posterior_feature(model, graph, u, v, attack_id):
+    """The posterior block of one pair as the attack assembles it, from a fresh table."""
+    table = PosteriorTable(model, graph)
+    return assemble_features(spec_for(attack_id), table, graph, (u, v))["posterior"]
+
+
 class TestPosteriorBlock:
     def test_block_length_four_times_classes(self, trained):
         graph, model = trained
         u, v = sorted(graph.edges)[0]
-        ctx = QueryContext.build(graph, u, v, 1)
-        block = posterior_block(model, ctx)
+        block = posterior_feature(model, graph, u, v, "a1")
         assert block.shape == (4 * model.num_classes,)
 
     def test_swap_invariance(self, trained):
         graph, model = trained
         u, v = sorted(graph.edges)[3]
-        fwd = posterior_block(model, QueryContext.build(graph, u, v, 1))
-        rev = posterior_block(model, QueryContext.build(graph, v, u, 1))
+        fwd = posterior_feature(model, graph, u, v, "a1")
+        rev = posterior_feature(model, graph, v, u, "a1")
         assert np.array_equal(fwd, rev)
 
     def test_identical_posteriors_zero_difference_parts(self, trained):
@@ -228,8 +234,7 @@ class TestPosteriorBlock:
         g2 = Graph(num_nodes=graph.num_nodes, edges=graph.edges,
                    features=np.vstack([graph.features[:-1], graph.features[:1]]),
                    labels=graph.labels)
-        ctx = QueryContext.build(g2, 0, g2.num_nodes - 1, 0)
-        block = posterior_block(model, ctx)
+        block = posterior_feature(model, g2, 0, g2.num_nodes - 1, "a0")
         np.testing.assert_allclose(block[2 * c:], 0.0, atol=1e-12)
 
 
