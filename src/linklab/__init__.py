@@ -31,11 +31,9 @@ from .experiment import (
     SyntheticSpec,
     run_defense_sweep,
     run_experiment,
-    run_transfer,
 )
 from .features import (
     PosteriorTable,
-    QueryContext,
     graph_block,
     node_attr_block,
     pairwise_ops,

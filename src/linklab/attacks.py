@@ -17,11 +17,13 @@ from .data import PairDataset
 from .defenses import DefenseConfig, label_only_feature, query_temperature
 from .features import (
     PosteriorTable,
-    QueryContext,
     graph_block,
+    label_block_names,
     node_attr_block,
     pairwise_concat,
+    posterior_block_names,
     transfer_block,
+    transfer_block_names,
 )
 from .graph import Graph
 from .nn import Parameter, Tensor
@@ -79,10 +81,6 @@ _BRANCH_PLANS: dict[str, tuple[tuple[str, tuple[int, ...]], ...]] = {
     "b2": (("node_attr", (256, 64, 8)), ("graph", (1,))),
 }
 
-# Width chains for the depth ablation of single-branch classifiers;
-# depth counts linear layers including the head.
-_DEPTH_CHAIN = (128, 32, 16, 8)
-
 
 def spec_for(attack_id: str) -> AttackSpec:
     if attack_id not in ATTACK_SPECS:
@@ -126,21 +124,10 @@ class LinkVerdict:
 
 
 def build_attack_model(attack_id: str, input_dims: dict[str, int],
-                       rng: np.random.Generator, depth: int | None = None) -> MultiInputMlp:
-    """Instantiate the classifier for ``attack_id`` given its input widths.
-
-    ``depth`` overrides the layer count of single-branch classifiers for
-    the depth ablation; multi-branch classifiers reject it.
-    """
+                       rng: np.random.Generator) -> MultiInputMlp:
+    """Instantiate the classifier for ``attack_id`` given its input widths."""
     spec = spec_for(attack_id)
     plan = _BRANCH_PLANS[attack_id]
-    if depth is not None:
-        if len(plan) != 1:
-            raise ValueError("depth override only applies to single-branch classifiers")
-        if not (2 <= depth <= 1 + len(_DEPTH_CHAIN)):
-            raise ValueError(f"depth must be in [2, {1 + len(_DEPTH_CHAIN)}]")
-        plan = ((plan[0][0], _DEPTH_CHAIN[: depth - 1]),)
-
     expected_kinds = {kind for kind, _ in plan}
     if set(input_dims) != expected_kinds:
         raise ValueError(
@@ -205,9 +192,10 @@ def assemble_features(spec: AttackSpec, table: PosteriorTable | None, graph: Gra
     posteriors come from ``table``, bound to ``graph`` at the defense's
     query temperature."""
     u, v = pair
+    if u == v:
+        raise ValueError("a pair needs two distinct nodes")
     if spec.uses_graph_feats and spec.hop == 0:
         raise ValueError(f"{spec.attack_id}: graph features unavailable at hop 0")
-    ctx = QueryContext.build(graph, u, v, spec.hop)
     out: dict[str, np.ndarray] = {}
     if spec.uses_posteriors:
         if table is None:
@@ -232,28 +220,24 @@ def assemble_features(spec: AttackSpec, table: PosteriorTable | None, graph: Gra
     if spec.uses_node_attrs:
         out["node_attr"] = node_attr_block(graph.features[u], graph.features[v])
     if spec.uses_graph_feats:
-        out["graph"] = graph_block(ctx)
+        out["graph"] = graph_block(graph, u, v)
     return out
 
 
-def build_attack_matrix(spec: AttackSpec, table: PosteriorTable | None, graph: Graph,
-                        pairs, defense: DefenseConfig | None = None, transfer: bool = False,
-                        pairwise: str = "all",
-                        collect_posteriors: list | None = None) -> dict[str, np.ndarray]:
-    """Stack per-pair feature vectors into one matrix per input kind."""
-    rows: dict[str, list[np.ndarray]] = {}
-    for pair in pairs:
-        vecs = assemble_features(spec, table, graph, (pair[0], pair[1]), defense=defense,
-                                 transfer=transfer, pairwise=pairwise,
-                                 collect_posteriors=collect_posteriors)
-        for kind, vec in vecs.items():
-            rows.setdefault(kind, []).append(vec)
-    return {kind: np.vstack(vs) for kind, vs in rows.items()}
+def posterior_columns(num_classes: int, defense: DefenseConfig | None = None,
+                      transfer: bool = False, pairwise: str = "all") -> list[str]:
+    """Column names of the posterior block ``assemble_features`` builds with
+    the same defense, transfer and pairwise settings."""
+    if defense is not None and defense.kind == "label_only":
+        return label_block_names(num_classes)
+    if transfer:
+        return transfer_block_names()
+    return posterior_block_names(num_classes, pairwise)
 
 
 def train_attack(attack_id: str, inputs: dict[str, np.ndarray], labels: np.ndarray,
                  seed: int, *, epochs: int = 200, learning_rate: float = 0.001,
-                 dropout_rate: float = 0.5, depth: int | None = None) -> MultiInputMlp:
+                 dropout_rate: float = 0.5) -> MultiInputMlp:
     """Full-batch training with cosine-annealed Adam."""
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size == 0:
@@ -264,7 +248,7 @@ def train_attack(attack_id: str, inputs: dict[str, np.ndarray], labels: np.ndarr
         raise ValueError(f"attack training set must be balanced, got {pos} pos / {neg} neg")
 
     input_dims = {kind: mat.shape[1] for kind, mat in inputs.items()}
-    model = build_attack_model(attack_id, input_dims, stream(seed, "init"), depth=depth)
+    model = build_attack_model(attack_id, input_dims, stream(seed, "init"))
     drop_rng = stream(seed, "dropout")
     optimizer = nn.Adam(model.parameters(), learning_rate=learning_rate)
     for epoch in range(epochs):
@@ -296,9 +280,14 @@ def attack_dataset_inputs(spec: AttackSpec, table: PosteriorTable | None, datase
                           defense: DefenseConfig | None = None, transfer: bool = False,
                           pairwise: str = "all",
                           collect_posteriors: list | None = None) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Feature matrices plus labels for every pair in a PairDataset."""
+    """Feature matrices, one row per pair and one matrix per input kind,
+    plus labels for every pair in a PairDataset."""
     _require_table_on(table, dataset.graph, f"{dataset.provenance} pairs")
-    mats = build_attack_matrix(spec, table, dataset.graph, dataset.node_pairs,
-                               defense=defense, transfer=transfer, pairwise=pairwise,
-                               collect_posteriors=collect_posteriors)
-    return mats, dataset.labels
+    rows: dict[str, list[np.ndarray]] = {}
+    for pair in dataset.node_pairs:
+        vecs = assemble_features(spec, table, dataset.graph, pair, defense=defense,
+                                 transfer=transfer, pairwise=pairwise,
+                                 collect_posteriors=collect_posteriors)
+        for kind, vec in vecs.items():
+            rows.setdefault(kind, []).append(vec)
+    return {kind: np.vstack(vs) for kind, vs in rows.items()}, dataset.labels

@@ -16,7 +16,6 @@ from .experiment import (
     parse_config_file,
     run_defense_sweep,
     run_experiment,
-    run_transfer,
     summarize_report_csv,
     write_analyses,
     write_reports,
@@ -146,7 +145,7 @@ def _cmd_transfer(args: argparse.Namespace) -> int:
         shadow_mapping["dataset"] = args.shadow_dataset
     shadow_mapping.pop("out", None)
     cfg_shadow = config_from_mapping(shadow_mapping)
-    report = run_transfer(cfg, cfg_shadow, keep_artifacts=bool(out))
+    report = run_experiment(cfg, keep_artifacts=bool(out), shadow=cfg_shadow)
     for attack_id in report.attack_ids:
         print(f"{attack_id} (transfer): mean AUC {report.mean_auc[attack_id]:.4f}")
     if out:

@@ -70,10 +70,14 @@ def make_splits(g: Graph, seed: int, shadow_fraction: float = 1.0) -> SplitBundl
         if not part:
             raise ValueError(f"{name} split is empty; graph or shadow fraction too small")
 
-    tt_graph, tt_ids = induced_subgraph(g, target_train)
-    te_graph, te_ids = induced_subgraph(g, target_test)
-    st_graph, st_ids = induced_subgraph(g, shadow_train)
-    se_graph, se_ids = induced_subgraph(g, shadow_test)
+    return _induce_bundle(g, target_train, target_test, shadow_train, shadow_test)
+
+
+def _induce_bundle(g: Graph, target_train, target_test, shadow_train, shadow_test) -> SplitBundle:
+    """The four working graphs induced on their source-node id lists."""
+    (tt_graph, tt_ids), (te_graph, te_ids), (st_graph, st_ids), (se_graph, se_ids) = (
+        induced_subgraph(g, ids) for ids in (target_train, target_test, shadow_train, shadow_test)
+    )
     return SplitBundle(
         target_train=tt_graph, target_test=te_graph,
         shadow_train=st_graph, shadow_test=se_graph,
@@ -217,14 +221,4 @@ def read_split_manifest(directory: str, prefix: str = "") -> dict[str, tuple[int
 
 def bundle_from_manifest(g: Graph, directory: str, prefix: str = "") -> SplitBundle:
     """Rebuild the exact SplitBundle recorded by ``write_split_manifest``."""
-    ids = read_split_manifest(directory, prefix)
-    tt_graph, tt_ids = induced_subgraph(g, ids["target_train"])
-    te_graph, te_ids = induced_subgraph(g, ids["target_test"])
-    st_graph, st_ids = induced_subgraph(g, ids["shadow_train"])
-    se_graph, se_ids = induced_subgraph(g, ids["shadow_test"])
-    return SplitBundle(
-        target_train=tt_graph, target_test=te_graph,
-        shadow_train=st_graph, shadow_test=se_graph,
-        target_train_ids=tt_ids, target_test_ids=te_ids,
-        shadow_train_ids=st_ids, shadow_test_ids=se_ids,
-    )
+    return _induce_bundle(g, **read_split_manifest(directory, prefix))

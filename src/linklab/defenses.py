@@ -102,25 +102,27 @@ def lap_graph(adj: np.ndarray, epsilon: float, budget_split: float, seed: int) -
     eps_cells = epsilon - eps_count
     rng = stream(seed, "lap-graph")
     iu, ju = np.triu_indices(n, k=1)
-    true_count = int(adj[iu, ju].sum())
-    estimate = int(round(true_count + rng.laplace(0.0, 1.0 / eps_count)))
-    estimate = max(0, min(estimate, len(iu)))
-    noisy = adj[iu, ju].astype(np.float64) + rng.laplace(0.0, 1.0 / eps_cells, size=len(iu))
+    upper = adj[iu, ju]
+    estimate = _edge_count_estimate(upper, eps_count, rng)
+    noisy = upper.astype(np.float64) + rng.laplace(0.0, 1.0 / eps_cells, size=len(iu))
     keep = np.argsort(-noisy, kind="stable")[:estimate]
     out = np.zeros((n, n), dtype=bool)
     out[iu[keep], ju[keep]] = True
     return out | out.T
 
 
+def _edge_count_estimate(upper: np.ndarray, eps_count: float, rng: np.random.Generator) -> int:
+    """Laplace-noised count of the upper-triangular edges, clamped to the
+    number of cells; the first draw of the mechanism's stream."""
+    estimate = int(round(int(upper.sum()) + rng.laplace(0.0, 1.0 / eps_count)))
+    return max(0, min(estimate, len(upper)))
+
+
 def lap_graph_edge_estimate(adj: np.ndarray, epsilon: float, budget_split: float, seed: int) -> int:
     """The private edge-count estimate the mechanism will preserve exactly."""
     adj = _validate_adjacency(adj)
-    n = adj.shape[0]
-    rng = stream(seed, "lap-graph")
-    iu, ju = np.triu_indices(n, k=1)
-    true_count = int(adj[iu, ju].sum())
-    estimate = int(round(true_count + rng.laplace(0.0, 1.0 / (budget_split * epsilon))))
-    return max(0, min(estimate, len(iu)))
+    iu, ju = np.triu_indices(adj.shape[0], k=1)
+    return _edge_count_estimate(adj[iu, ju], budget_split * epsilon, stream(seed, "lap-graph"))
 
 
 def perturb_graph(g: Graph, defense: DefenseConfig, seed: int) -> Graph:

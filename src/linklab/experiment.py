@@ -16,12 +16,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import features as feat
 from .attacks import (
     ATTACK_SPECS,
     MultiInputMlp,
     attack_dataset_inputs,
     link_scores,
+    posterior_columns,
     spec_for,
     train_attack,
 )
@@ -35,13 +35,21 @@ from .data import (
     write_split_manifest,
 )
 from .defenses import DP_KINDS, DefenseConfig, perturb_graph, query_temperature
-from .features import PosteriorTable, cosine_similarity, proximity_counts
+from .features import (
+    PAIRWISE_OP_NAMES,
+    PosteriorTable,
+    cosine_similarity,
+    export_features_csv,
+    graph_block_names,
+    node_attr_block_names,
+    proximity_counts,
+)
 from .gnn import ARCHITECTURES, TrainedGnn, evaluate_accuracy, save_gnn, train_gnn
 from .graph import Graph, load_dataset
 from .metrics import (
     auc,
-    last_group_indices,
     leading_probability_cdf,
+    metric_groups,
     pearson_correlation,
     robustness_groups,
     surprising_links,
@@ -106,6 +114,8 @@ class ExperimentConfig:
                 raise ValueError(f"unknown attack id {attack_id!r}")
         if not (0.0 < self.shadow_fraction <= 1.0):
             raise ValueError("shadow_fraction must be in (0, 1]")
+        if self.pairwise not in ("all",) + PAIRWISE_OP_NAMES:
+            raise ValueError(f"unknown pairwise_ops {self.pairwise!r}")
 
     def active_attacks(self) -> tuple[str, ...]:
         if self.hops is None:
@@ -126,8 +136,7 @@ class RunArtifacts:
     test_inputs: dict[str, dict[str, np.ndarray]]
     scores: dict[str, np.ndarray]
     target_posteriors: dict[str, np.ndarray]
-    defense_kind: str = "none"
-    transfer: bool = False
+    posterior_columns: list[str]
 
 
 @dataclass
@@ -168,34 +177,24 @@ def load_or_generate(cfg: ExperimentConfig) -> Graph:
     )
 
 
-def _single_run(cfg: ExperimentConfig, graph: Graph, run_idx: int, keep: bool,
-                transfer_shadow: tuple[Graph, ExperimentConfig] | None = None):
-    """One seeded pipeline pass; returns (aucs, target_acc, shadow_acc, artifacts)."""
+def _single_run(cfg: ExperimentConfig, graph: Graph, shadow_cfg: ExperimentConfig,
+                shadow_graph: Graph, run_idx: int, transfer: bool, keep: bool):
+    """One seeded pipeline pass; returns (aucs, target_acc, shadow_acc, artifacts).
+
+    The shadow side shares the target's split when ``shadow_graph is graph``.
+    """
     run_seed = cfg.seed + run_idx
     attacks = cfg.active_attacks()
     if not attacks:
         raise ValueError("no attacks left after hop filtering")
 
-    transfer = transfer_shadow is not None
     with _stage("split"):
-        if transfer:
-            shadow_graph, shadow_cfg = transfer_shadow
-            same_source = _graphs_equal(graph, shadow_graph)
-            bundle = make_splits(graph, derive_seed(run_seed, "split"), cfg.shadow_fraction)
-            if same_source:
-                shadow_bundle = bundle
-            else:
-                shadow_bundle = make_splits(
-                    shadow_graph, derive_seed(run_seed, "split-shadow"), shadow_cfg.shadow_fraction
-                )
-        else:
-            bundle = make_splits(graph, derive_seed(run_seed, "split"), cfg.shadow_fraction)
-            shadow_bundle = bundle
-            shadow_cfg = cfg
+        bundle = make_splits(graph, derive_seed(run_seed, "split"), cfg.shadow_fraction)
+        shadow_bundle = bundle if shadow_graph is graph else make_splits(
+            shadow_graph, derive_seed(run_seed, "split-shadow"), shadow_cfg.shadow_fraction
+        )
 
     defense = cfg.defense
-    if transfer and defense.kind == "label_only":
-        raise ValueError("label-only defense is incompatible with transfer features")
 
     with _stage("defense"):
         target_train_graph = perturb_graph(
@@ -208,10 +207,9 @@ def _single_run(cfg: ExperimentConfig, graph: Graph, run_idx: int, keep: bool,
             learning_rate=cfg.learning_rate, dropout_rate=cfg.dropout,
         )
     with _stage("shadow-train"):
-        shadow_classes = shadow_bundle.shadow_train.num_classes if transfer else graph.num_classes
         shadow = train_gnn(
             shadow_bundle.shadow_train, cfg.shadow_arch, derive_seed(run_seed, "shadow-train"),
-            num_classes=shadow_classes, hidden=cfg.hidden, epochs=cfg.epochs,
+            num_classes=shadow_graph.num_classes, hidden=cfg.hidden, epochs=cfg.epochs,
             learning_rate=cfg.learning_rate, dropout_rate=cfg.dropout,
         )
 
@@ -240,10 +238,10 @@ def _single_run(cfg: ExperimentConfig, graph: Graph, run_idx: int, keep: bool,
     posterior_map: dict[str, np.ndarray] = {}
     for attack_id in attacks:
         spec = spec_for(attack_id)
-        if transfer and spec.uses_node_attrs and graph.feature_dim != shadow_bundle.shadow_train.feature_dim:
+        if spec.uses_node_attrs and graph.feature_dim != shadow_graph.feature_dim:
             raise ValueError(
                 f"{attack_id} needs matching attribute dims for transfer, "
-                f"got {graph.feature_dim} vs {shadow_bundle.shadow_train.feature_dim}"
+                f"got {graph.feature_dim} vs {shadow_graph.feature_dim}"
             )
         with _stage(f"attack-{attack_id}"):
             train_inputs, train_labels = attack_dataset_inputs(
@@ -277,7 +275,8 @@ def _single_run(cfg: ExperimentConfig, graph: Graph, run_idx: int, keep: bool,
             attack_train=attack_train, attack_test=attack_test,
             attack_models=models, test_inputs=inputs_map, scores=score_map,
             target_posteriors=posterior_map,
-            defense_kind=defense.kind, transfer=transfer,
+            posterior_columns=posterior_columns(target.num_classes, defense, transfer,
+                                                cfg.pairwise),
         )
     return aucs, target_acc, shadow_acc, artifacts
 
@@ -291,7 +290,31 @@ def _graphs_equal(a: Graph, b: Graph) -> bool:
     )
 
 
-def _aggregate(cfg: ExperimentConfig, results, keep_artifacts: bool) -> RunReport:
+def run_experiment(cfg: ExperimentConfig, keep_artifacts: bool = False,
+                   shadow: ExperimentConfig | None = None) -> RunReport:
+    """The full multi-run pipeline.
+
+    With ``shadow``, the shadow model comes from that config's dataset, a
+    possibly different distribution, and posterior features switch to the
+    class-count-independent transfer block. A shadow dataset equal to the
+    target's shares the target's splits, so only the features change.
+    """
+    if shadow is not None and cfg.defense.kind == "label_only":
+        raise ValueError("label-only defense is incompatible with transfer features")
+    graph = load_or_generate(cfg)
+    shadow_graph = graph
+    if shadow is not None:
+        other = load_or_generate(shadow)
+        if not _graphs_equal(graph, other):
+            shadow_graph = other
+    results = []
+    for run_idx in range(cfg.runs):
+        started = time.perf_counter()
+        aucs, tacc, sacc, artifacts = _single_run(
+            cfg, graph, shadow or cfg, shadow_graph, run_idx,
+            transfer=shadow is not None, keep=(keep_artifacts and run_idx == 0),
+        )
+        results.append((aucs, tacc, sacc, artifacts, time.perf_counter() - started))
     attacks = cfg.active_attacks()
     per_run = {a: tuple(r[0][a] for r in results) for a in attacks}
     return RunReport(
@@ -303,39 +326,6 @@ def _aggregate(cfg: ExperimentConfig, results, keep_artifacts: bool) -> RunRepor
         durations=tuple(r[4] for r in results),
         artifacts=results[0][3] if keep_artifacts else None,
     )
-
-
-def run_experiment(cfg: ExperimentConfig, keep_artifacts: bool = False) -> RunReport:
-    """The full multi-run pipeline on one dataset."""
-    graph = load_or_generate(cfg)
-    results = []
-    for run_idx in range(cfg.runs):
-        started = time.perf_counter()
-        aucs, tacc, sacc, artifacts = _single_run(
-            cfg, graph, run_idx, keep=(keep_artifacts and run_idx == 0)
-        )
-        results.append((aucs, tacc, sacc, artifacts, time.perf_counter() - started))
-    return _aggregate(cfg, results, keep_artifacts)
-
-
-def run_transfer(cfg_target: ExperimentConfig, cfg_shadow: ExperimentConfig,
-                 keep_artifacts: bool = False) -> RunReport:
-    """Shadow model trained on a possibly different-distribution dataset.
-
-    Posterior features switch to the class-count-independent transfer block;
-    with identical datasets this reduces to the standard protocol.
-    """
-    graph = load_or_generate(cfg_target)
-    shadow_graph = load_or_generate(cfg_shadow)
-    results = []
-    for run_idx in range(cfg_target.runs):
-        started = time.perf_counter()
-        aucs, tacc, sacc, artifacts = _single_run(
-            cfg_target, graph, run_idx, keep=(keep_artifacts and run_idx == 0),
-            transfer_shadow=(shadow_graph, cfg_shadow),
-        )
-        results.append((aucs, tacc, sacc, artifacts, time.perf_counter() - started))
-    return _aggregate(cfg_target, results, keep_artifacts)
 
 
 @dataclass(frozen=True)
@@ -494,12 +484,13 @@ def write_analyses(report: RunReport, outdir: str, groups: int = 10) -> None:
     surprising_rows = []
     baselines = [b for b in ("b0", "b1") if b in art.scores]
     posterior_attacks = [a for a in report.attack_ids if ATTACK_SPECS[a].uses_posteriors]
+    last_groups = {}
+    if int(pos_mask.sum()) >= groups:
+        last_groups = {metric: metric_groups(metric_values[metric][pos_mask], groups)[-1]
+                       for metric in PAIR_METRIC_NAMES}
     for attack_id in posterior_attacks:
         for baseline_id in baselines:
-            for metric in PAIR_METRIC_NAMES:
-                if int(pos_mask.sum()) < groups:
-                    continue
-                idx = last_group_indices(metric_values[metric][pos_mask], groups=groups)
+            for metric, idx in last_groups.items():
                 result = surprising_links(
                     (art.scores[attack_id][pos_mask] >= 0.5).astype(int),
                     (art.scores[baseline_id][pos_mask] >= 0.5).astype(int),
@@ -528,28 +519,16 @@ def export_test_features(report: RunReport, outdir: str) -> None:
     if art is None:
         raise ValueError("feature export needs retained artifacts")
     os.makedirs(outdir, exist_ok=True)
-    num_classes = art.target.num_classes
-    feature_dim = art.attack_test.graph.feature_dim
+    names = {
+        "node_attr": node_attr_block_names(art.attack_test.graph.feature_dim),
+        "posterior": art.posterior_columns,
+        "graph": graph_block_names(),
+    }
     for attack_id, inputs in art.test_inputs.items():
-        columns: list[str] = []
-        mats: list[np.ndarray] = []
-        for kind in ("node_attr", "posterior", "graph"):
-            if kind not in inputs:
-                continue
-            mat = inputs[kind]
-            if kind == "node_attr":
-                columns += feat.node_attr_block_names(feature_dim)
-            elif kind == "graph":
-                columns += feat.graph_block_names()
-            elif art.transfer:
-                columns += feat.transfer_block_names()
-            elif art.defense_kind == "label_only":
-                columns += feat.label_block_names(num_classes)
-            else:
-                columns += feat.posterior_block_names(num_classes)
-            mats.append(mat)
-        matrix = np.concatenate(mats, axis=1)
-        feat.export_features_csv(
+        kinds = [kind for kind in names if kind in inputs]
+        columns = [name for kind in kinds for name in names[kind]]
+        matrix = np.concatenate([inputs[kind] for kind in kinds], axis=1)
+        export_features_csv(
             os.path.join(outdir, f"features_{attack_id}.csv"), columns, matrix
         )
 

@@ -7,8 +7,6 @@ independent of pair orientation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .gnn import TrainedGnn, khop_query
@@ -41,23 +39,6 @@ def pairwise_concat(a: np.ndarray, b: np.ndarray, ops: str = "all") -> np.ndarra
     else:
         raise ValueError(f"unknown pairwise op selection {ops!r}")
     return np.concatenate([blocks[name] for name in selected])
-
-
-@dataclass(frozen=True)
-class QueryContext:
-    """The adversary's view of one node pair and its query hop. Baselines
-    carry ``hop=None``."""
-
-    graph: Graph
-    u: int
-    v: int
-    hop: int | None
-
-    @classmethod
-    def build(cls, graph: Graph, u: int, v: int, hop: int | None) -> "QueryContext":
-        if u == v:
-            raise ValueError("a pair needs two distinct nodes")
-        return cls(graph=graph, u=u, v=v, hop=hop)
 
 
 class PosteriorTable:
@@ -123,11 +104,9 @@ def proximity_counts(graph: Graph, u: int, v: int) -> tuple[int, float, int]:
     return inter, jaccard, len(nu) * len(nv)
 
 
-def graph_block(ctx: QueryContext) -> np.ndarray:
+def graph_block(graph: Graph, u: int, v: int) -> np.ndarray:
     """[common neighbors, Jaccard, preferential attachment] for the pair."""
-    if ctx.hop == 0:
-        raise ValueError("graph features are undefined for 0-hop queries")
-    cn, jac, pa = proximity_counts(ctx.graph, ctx.u, ctx.v)
+    cn, jac, pa = proximity_counts(graph, u, v)
     return np.array([float(cn), jac, float(pa)], dtype=np.float64)
 
 

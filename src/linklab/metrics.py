@@ -7,27 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
-class ScoredPairs:
-    """Attack scores with ground-truth link labels for a set of pairs."""
-
-    pairs: tuple[tuple[int, int], ...]
-    scores: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        scores = np.asarray(self.scores, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
-        if scores.shape != labels.shape or scores.ndim != 1:
-            raise ValueError("scores and labels must be matching vectors")
-        if len(self.pairs) != scores.shape[0]:
-            raise ValueError("pairs and scores lengths differ")
-        if not np.all(np.isfinite(scores)):
-            raise ValueError("scores must be finite")
-        object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "labels", labels)
-
-
 def average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties assigned their average rank."""
     values = np.asarray(values, dtype=np.float64)
@@ -80,44 +59,42 @@ class GroupReport:
     group_sizes: tuple[int, ...]
 
 
+def metric_groups(positive_metric: np.ndarray, groups: int = 10) -> list[np.ndarray]:
+    """Positions of the positives in each of ``groups`` near-equal groups,
+    ordered by descending metric value; the first groups take the remainder."""
+    positive_metric = np.asarray(positive_metric, dtype=np.float64)
+    num_pos = len(positive_metric)
+    if num_pos < groups:
+        raise ValueError(f"need at least {groups} positives, got {num_pos}")
+    # Descending metric, ties broken by ascending position for reproducibility.
+    order = np.lexsort((np.arange(num_pos), -positive_metric))
+    return np.array_split(order, groups)
+
+
 def robustness_groups(positive_scores: np.ndarray, positive_metric: np.ndarray,
                       negative_scores: np.ndarray, metric_name: str,
-                      pair_ids=None, groups: int = 10) -> GroupReport:
+                      groups: int = 10) -> GroupReport:
     """Bin positives into near-equal groups by descending metric value and
     score each group against all negatives."""
     positive_scores = np.asarray(positive_scores, dtype=np.float64)
     positive_metric = np.asarray(positive_metric, dtype=np.float64)
     negative_scores = np.asarray(negative_scores, dtype=np.float64)
-    num_pos = len(positive_scores)
     if positive_metric.shape != positive_scores.shape:
         raise ValueError("every positive pair needs a metric value")
-    if num_pos < groups:
-        raise ValueError(f"need at least {groups} positives, got {num_pos}")
-    if pair_ids is None:
-        pair_ids = np.arange(num_pos)
-    pair_ids = np.asarray(pair_ids)
-
-    # Descending metric, ties broken by ascending pair id for reproducibility.
-    order = np.lexsort((pair_ids, -positive_metric))
-    base = num_pos // groups
-    extra = num_pos % groups
-    sizes = [base + (1 if i < extra else 0) for i in range(groups)]
 
     aucs = []
     bounds = []
-    start = 0
     neg_labels = np.zeros(len(negative_scores), dtype=np.int64)
-    for size in sizes:
-        chunk = order[start:start + size]
-        start += size
-        chunk_scores = positive_scores[chunk]
+    chunks = metric_groups(positive_metric, groups)
+    for chunk in chunks:
         chunk_metric = positive_metric[chunk]
-        combined = np.concatenate([chunk_scores, negative_scores])
-        labels = np.concatenate([np.ones(size, dtype=np.int64), neg_labels])
+        combined = np.concatenate([positive_scores[chunk], negative_scores])
+        labels = np.concatenate([np.ones(len(chunk), dtype=np.int64), neg_labels])
         aucs.append(auc(combined, labels))
         bounds.append((float(chunk_metric.max()), float(chunk_metric.min())))
     return GroupReport(metric_name=metric_name, group_aucs=tuple(aucs),
-                       boundaries=tuple(bounds), group_sizes=tuple(sizes))
+                       boundaries=tuple(bounds),
+                       group_sizes=tuple(len(chunk) for chunk in chunks))
 
 
 def pearson_correlation(x: np.ndarray, y: np.ndarray) -> float:
@@ -146,14 +123,14 @@ class SurprisingLinks:
 
 
 def surprising_links(attack_decisions: np.ndarray, baseline_decisions: np.ndarray,
-                     last_group_indices) -> SurprisingLinks:
+                     last_group) -> SurprisingLinks:
     """Rate of attack-hit / baseline-miss positives in the lowest-metric
     group, with the same rate over all positives as reference."""
     attack_decisions = np.asarray(attack_decisions, dtype=np.int64)
     baseline_decisions = np.asarray(baseline_decisions, dtype=np.int64)
     if attack_decisions.shape != baseline_decisions.shape:
         raise ValueError("verdicts must align over the same positive pairs")
-    idx = np.asarray(list(last_group_indices), dtype=np.int64)
+    idx = np.asarray(list(last_group), dtype=np.int64)
     if idx.size == 0:
         raise ValueError("last group is empty")
     surprising = (attack_decisions == 1) & (baseline_decisions == 0)
@@ -174,18 +151,3 @@ def leading_probability_cdf(posteriors: np.ndarray) -> tuple[np.ndarray, np.ndar
     leading = np.sort(posteriors.max(axis=1))
     fractions = np.arange(1, len(leading) + 1, dtype=np.float64) / len(leading)
     return leading, fractions
-
-
-def last_group_indices(positive_metric: np.ndarray, pair_ids=None, groups: int = 10) -> np.ndarray:
-    """Indices of the positives that fall in the lowest-metric group."""
-    positive_metric = np.asarray(positive_metric, dtype=np.float64)
-    num_pos = len(positive_metric)
-    if num_pos < groups:
-        raise ValueError(f"need at least {groups} positives, got {num_pos}")
-    if pair_ids is None:
-        pair_ids = np.arange(num_pos)
-    order = np.lexsort((np.asarray(pair_ids), -positive_metric))
-    base = num_pos // groups
-    extra = num_pos % groups
-    last_size = base + (1 if groups - 1 < extra else 0)
-    return np.sort(order[num_pos - last_size:])

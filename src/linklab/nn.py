@@ -1,4 +1,4 @@
-"""Dense float64 tensors with reverse-mode gradients, plus optimizers.
+"""Dense float64 tensors with reverse-mode gradients, plus the Adam optimizer.
 
 The tape is a plain parent-pointer graph: each op returns a tensor holding
 a closure that scatters the output gradient back to its parents. Model
@@ -31,12 +31,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    def numpy(self) -> np.ndarray:
-        return np.array(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
@@ -284,22 +278,6 @@ def softmax_cross_entropy(logits: Tensor, labels) -> tuple[Tensor, np.ndarray]:
     return loss, posteriors
 
 
-def cross_entropy_loss(posteriors: np.ndarray, labels) -> float:
-    """Mean negative log-probability of the true class.
-
-    ``posteriors`` rows must already be probability distributions.
-    """
-    p = np.asarray(posteriors, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if p.ndim != 2 or labels.shape != (p.shape[0],):
-        raise ValueError("posteriors must be [batch x classes] with one label per row")
-    if labels.size and (labels.min() < 0 or labels.max() >= p.shape[1]):
-        raise ValueError("label out of range")
-    if np.any(p < -1e-9) or np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-6):
-        raise ValueError("posterior rows must be probability distributions")
-    return float(-np.log(p[np.arange(p.shape[0]), labels]).mean())
-
-
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape: tuple[int, ...]) -> np.ndarray:
     limit = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
@@ -316,8 +294,6 @@ def cosine_anneal(lr0: float, epoch: int, total: int) -> float:
 
 class Adam:
     """Adam with the canonical constants; only the learning rate varies."""
-
-    kind = "Adam"
 
     def __init__(self, params: list[Parameter], learning_rate: float = 0.001,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -343,30 +319,4 @@ class Adam:
             m_hat = m / (1.0 - self.beta1 ** t)
             v_hat = v / (1.0 - self.beta2 ** t)
             p.data = p.data - self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
-            p.grad = None
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
-
-
-class Sgd:
-    """Plain stochastic gradient descent."""
-
-    kind = "SGD"
-
-    def __init__(self, params: list[Parameter], learning_rate: float = 0.001):
-        self.params = list(params)
-        self.learning_rate = learning_rate
-        self.step_count = 0
-
-    def step(self) -> None:
-        self.step_count += 1
-        for p in self.params:
-            if p.grad is not None:
-                p.data = p.data - self.learning_rate * p.grad
-            p.grad = None
-
-    def zero_grad(self) -> None:
-        for p in self.params:
             p.grad = None

@@ -14,7 +14,7 @@ from linklab.attacks import ALL_ATTACK_IDS, assemble_features, infer_link, spec_
 from linklab.data import generate_planted_partition
 from linklab.defenses import DefenseConfig, lap_graph, lap_graph_edge_estimate
 from linklab.experiment import ExperimentConfig, run_defense_sweep
-from linklab.features import PosteriorTable, QueryContext, graph_block
+from linklab.features import PosteriorTable, graph_block
 from linklab.gnn import ARCHITECTURES, MessageStructure, gnn_forward, init_gnn
 from linklab.graph import adjacency_matrix, khop_subgraph, neighbors, normalize_edge
 from linklab.metrics import auc, average_ranks, pearson_correlation
@@ -175,7 +175,7 @@ def test_criterion_2_oracle_equivalence():
               features=rng.normal(size=(n, 3)), labels=np.zeros(n, dtype=int))
     for _ in range(500):
         u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
-        block = graph_block(QueryContext.build(g, u, v, 1))
+        block = graph_block(g, u, v)
         nu = {w for w in neighbors(g, u) if w not in (u, v)}
         nv = {w for w in neighbors(g, v) if w not in (u, v)}
         cn = len(nu & nv)

@@ -16,7 +16,6 @@ from linklab.experiment import (
     parse_config_file,
     run_defense_sweep,
     run_experiment,
-    run_transfer,
     summarize_report_csv,
     write_analyses,
     write_reports,
@@ -51,6 +50,8 @@ class TestConfig:
             ExperimentConfig(target_arch="cnn")
         with pytest.raises(ValueError):
             ExperimentConfig(shadow_fraction=0.0)
+        with pytest.raises(ValueError, match="pairwise_ops"):
+            ExperimentConfig(pairwise="product")
 
     def test_hop_filter(self):
         cfg = ExperimentConfig(attacks=("a0", "a1", "a2", "b0"), hops=(1, 2))
@@ -148,13 +149,23 @@ class TestRunExperiment:
 class TestTransfer:
     def test_same_dataset_matches_diagonal_protocol(self):
         cfg = small_cfg()
-        rep = run_transfer(cfg, cfg, keep_artifacts=True)
+        rep = run_experiment(cfg, keep_artifacts=True, shadow=cfg)
         assert "a1" in rep.mean_auc
         # transfer posterior branch is the 7-wide similarity block
         assert rep.artifacts.test_inputs["a1"]["posterior"].shape[1] == 7
         # diagonal shares the standard halving: shadow and target ids disjoint
         art = rep.artifacts
         assert set(art.bundle.shadow_train_ids).isdisjoint(art.bundle.target_train_ids)
+
+    def test_same_source_shares_the_standard_split(self):
+        cfg = small_cfg(runs=2)
+        plain = run_experiment(cfg, keep_artifacts=True)
+        # The shadow dataset is loaded on its own; being equal, it shares the split.
+        transfer = run_experiment(cfg, keep_artifacts=True, shadow=cfg)
+        assert transfer.artifacts.bundle.split_ids() == plain.artifacts.bundle.split_ids()
+        assert transfer.artifacts.attack_train.pairs == plain.artifacts.attack_train.pairs
+        assert transfer.target_accuracies == plain.target_accuracies
+        assert transfer.shadow_accuracies == plain.shadow_accuracies
 
     def test_cross_distribution_recovers_signal(self):
         spec_a = SyntheticSpec(nodes=200, communities=3, p_in=0.15, p_out=0.015,
@@ -165,8 +176,8 @@ class TestTransfer:
                                  epochs=60, attack_epochs=60)
         cfg_s = ExperimentConfig(synthetic=spec_b, attacks=("a1",), runs=1, seed=9,
                                  epochs=60, attack_epochs=60)
-        same = run_transfer(cfg_t, cfg_t)
-        cross = run_transfer(cfg_t, cfg_s)
+        same = run_experiment(cfg_t, shadow=cfg_t)
+        cross = run_experiment(cfg_t, shadow=cfg_s)
         assert cross.mean_auc["a1"] > 0.6
         assert abs(cross.mean_auc["a1"] - same.mean_auc["a1"]) < 0.15
 
@@ -175,12 +186,12 @@ class TestTransfer:
         cfg_s = small_cfg(synthetic=SyntheticSpec(nodes=120, communities=3, p_in=0.2,
                                                   p_out=0.02, feature_dim=6, noise=1.0))
         with pytest.raises(ValueError):
-            run_transfer(cfg_t, cfg_s)
+            run_experiment(cfg_t, shadow=cfg_s)
 
     def test_label_only_rejected(self):
         cfg = small_cfg(defense=DefenseConfig(kind="label_only"))
         with pytest.raises(ValueError):
-            run_transfer(cfg, cfg)
+            run_experiment(cfg, shadow=cfg)
 
 
 class TestDefenseSweep:
@@ -260,6 +271,19 @@ class TestCli:
         features = (out / "features_a1.csv").read_text().split("\n", 1)[0]
         assert features.startswith("posterior_hadamard_0")
         assert "mean AUC" in capsys.readouterr().out
+
+    def test_export_names_single_pairwise_op(self, tmp_path):
+        config = tmp_path / "hadamard.cfg"
+        config.write_text("pairwise_ops = hadamard\nsynthetic_communities = 3\n")
+        out = tmp_path / "out"
+        code = cli_main([
+            "attack", "--config", str(config), "--attack", "a1", "--runs", "1",
+            "--epochs", "10", "--attack-epochs", "10", "--out", str(out), "--export-features",
+        ])
+        assert code == 0
+        lines = (out / "features_a1.csv").read_text().strip().split("\n")
+        assert lines[0].split(",") == [f"posterior_hadamard_{c}" for c in range(3)]
+        assert all(len(line.split(",")) == 3 for line in lines[1:])
 
     def test_train_verb(self, tmp_path, capsys):
         out = tmp_path / "model"

@@ -9,7 +9,6 @@ from linklab.attacks import assemble_features, spec_for
 from linklab.data import generate_planted_partition, make_splits
 from linklab.features import (
     PosteriorTable,
-    QueryContext,
     correlation_distance,
     entropy,
     export_features_csv,
@@ -88,23 +87,16 @@ class TestNodeAttrBlock:
 class TestGraphBlock:
     def test_shared_single_neighbor(self):
         g = make_graph(3, [(0, 2), (1, 2)])
-        ctx = QueryContext.build(g, 0, 1, 1)
-        np.testing.assert_array_equal(graph_block(ctx), [1.0, 1.0, 1.0])
+        np.testing.assert_array_equal(graph_block(g, 0, 1), [1.0, 1.0, 1.0])
 
     def test_disjoint_neighborhoods(self):
         g = make_graph(7, [(0, 2), (0, 3), (1, 4), (1, 5), (1, 6)])
-        ctx = QueryContext.build(g, 0, 1, 1)
-        np.testing.assert_array_equal(graph_block(ctx), [0.0, 0.0, 6.0])
-
-    def test_zero_hop_rejected(self):
-        g = make_graph(3, [(0, 2), (1, 2)])
-        with pytest.raises(ValueError):
-            graph_block(QueryContext.build(g, 0, 1, 0))
+        np.testing.assert_array_equal(graph_block(g, 0, 1), [0.0, 0.0, 6.0])
 
     def test_baseline_context_allowed(self):
         g = make_graph(3, [(0, 2), (1, 2)])
-        ctx = QueryContext.build(g, 0, 1, None)
-        np.testing.assert_array_equal(graph_block(ctx), [1.0, 1.0, 1.0])
+        feats = assemble_features(spec_for("b1"), None, g, (0, 1))
+        np.testing.assert_array_equal(feats["graph"], [1.0, 1.0, 1.0])
 
     def test_matches_set_algebra_oracle(self):
         rng = np.random.default_rng(9)
@@ -112,8 +104,7 @@ class TestGraphBlock:
         g = make_graph(40, edges)
         for _ in range(50):
             u, v = rng.choice(40, size=2, replace=False)
-            ctx = QueryContext.build(g, int(u), int(v), 1)
-            got = graph_block(ctx)
+            got = graph_block(g, int(u), int(v))
             nu = {w for w in neighbors(g, int(u)) if w not in (u, v)}
             nv = {w for w in neighbors(g, int(v)) if w not in (u, v)}
             cn = len(nu & nv)
@@ -125,8 +116,8 @@ class TestGraphBlock:
         base_edges = [(0, 2), (1, 2), (0, 3)]
         g_without = make_graph(5, base_edges)
         g_with = make_graph(5, base_edges + [(0, 1)])
-        b1 = graph_block(QueryContext.build(g_without, 0, 1, 1))
-        b2 = graph_block(QueryContext.build(g_with, 0, 1, 1))
+        b1 = graph_block(g_without, 0, 1)
+        b2 = graph_block(g_with, 0, 1)
         np.testing.assert_array_equal(b1, b2)
 
     def test_bounds(self):

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from linklab.metrics import (
-    ScoredPairs,
     accuracy,
     auc,
     average_ranks,
-    last_group_indices,
     leading_probability_cdf,
+    metric_groups,
     pearson_correlation,
     robustness_groups,
     surprising_links,
@@ -74,16 +73,6 @@ class TestAuc:
     def test_average_ranks_ties(self):
         np.testing.assert_array_equal(average_ranks(np.array([10.0, 20.0, 20.0, 30.0])),
                                       [1.0, 2.5, 2.5, 4.0])
-
-
-class TestScoredPairs:
-    def test_validates_finiteness(self):
-        with pytest.raises(ValueError):
-            ScoredPairs(pairs=((0, 1),), scores=np.array([np.nan]), labels=np.array([1]))
-
-    def test_length_checks(self):
-        with pytest.raises(ValueError):
-            ScoredPairs(pairs=((0, 1),), scores=np.array([0.5, 0.4]), labels=np.array([1, 0]))
 
 
 class TestAccuracy:
@@ -204,7 +193,7 @@ class TestSurprisingLinks:
     def test_last_group_indices_lowest_metric(self):
         metric = np.array([5.0, 1.0, 4.0, 0.5, 3.0, 2.5, 2.0, 1.5, 4.5, 3.5,
                            0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 0.8, 0.9, 1.1, 1.2])
-        idx = last_group_indices(metric, groups=10)
+        idx = metric_groups(metric, groups=10)[-1]
         assert len(idx) == 2
         assert set(metric[idx]) == {0.1, 0.2}
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from linklab import nn
-from linklab.nn import Adam, Parameter, Sgd, Tensor
+from linklab.nn import Adam, Parameter, Tensor
 
 
 def finite_difference_check(fn, params, h=1e-5, tol=1e-4):
@@ -98,19 +98,6 @@ class TestSoftmaxTemperature:
 
 
 class TestCrossEntropy:
-    def test_perfect_prediction_zero_loss(self):
-        p = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert nn.cross_entropy_loss(p, [0, 1]) == pytest.approx(0.0, abs=1e-12)
-
-    def test_uniform_is_log_c(self):
-        c = 5
-        p = np.full((3, c), 1.0 / c)
-        assert nn.cross_entropy_loss(p, [0, 2, 4]) == pytest.approx(math.log(c), abs=1e-12)
-
-    def test_label_out_of_range(self):
-        with pytest.raises(ValueError):
-            nn.cross_entropy_loss(np.full((1, 3), 1 / 3), [3])
-
     def test_fused_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         logits = Parameter(rng.normal(size=(6, 4)))
@@ -159,15 +146,6 @@ class TestAdam:
             p.grad = np.ones(1)
             opt.step()
             assert opt.step_count == expected
-
-
-class TestSgd:
-    def test_plain_update(self):
-        p = Parameter(np.array([1.0]))
-        opt = Sgd([p], learning_rate=0.5)
-        p.grad = np.array([2.0])
-        opt.step()
-        assert p.data[0] == pytest.approx(0.0)
 
 
 class TestCosineAnneal:
