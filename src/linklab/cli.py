@@ -138,12 +138,26 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+# The shadow side of ``transfer`` reads only its dataset, the seed of its
+# synthetic draw and its shadow fraction; the shadow GNN, the attacks, the
+# defense and the run count all come from the target config.
+_SHADOW_CONFIG_KEYS = {
+    "dataset", "synthetic_nodes", "synthetic_communities", "synthetic_p_in",
+    "synthetic_p_out", "synthetic_feature_dim", "synthetic_noise", "seed", "shadow_fraction",
+}
+
+
 def _cmd_transfer(args: argparse.Namespace) -> int:
     cfg, out = _build(args)
     shadow_mapping = parse_config_file(args.shadow_config) if args.shadow_config else {}
+    ignored = sorted(set(shadow_mapping) - _SHADOW_CONFIG_KEYS)
+    if ignored:
+        raise ValueError(
+            f"--shadow-config keys {ignored} are not read for the shadow side; "
+            "set them in --config or on the command line"
+        )
     if args.shadow_dataset:
         shadow_mapping["dataset"] = args.shadow_dataset
-    shadow_mapping.pop("out", None)
     cfg_shadow = config_from_mapping(shadow_mapping)
     report = run_experiment(cfg, keep_artifacts=bool(out), shadow=cfg_shadow)
     for attack_id in report.attack_ids:

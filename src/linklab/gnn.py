@@ -8,6 +8,7 @@ its self-loop) flows through the same code path as whole-graph training.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -33,12 +34,14 @@ class MessageStructure:
     """
 
     def __init__(self, num_nodes: int, edges):
+        pairs = np.fromiter(chain.from_iterable(edges), dtype=np.int64).reshape(-1, 2)
+        if pairs.size and (pairs.min() < 0 or pairs.max() >= num_nodes):
+            u, v = pairs[((pairs < 0) | (pairs >= num_nodes)).any(axis=1)][0]
+            raise ValueError(f"edge ({u}, {v}) outside node range")
         adj = np.zeros((num_nodes, num_nodes), dtype=bool)
-        for u, v in edges:
-            if not (0 <= u < num_nodes and 0 <= v < num_nodes):
-                raise ValueError(f"edge ({u}, {v}) outside node range")
-            adj[u, v] = True
-            adj[v, u] = True
+        u, v = pairs.T
+        adj[u, v] = True
+        adj[v, u] = True
         np.fill_diagonal(adj, True)
         deg = adj.sum(axis=1, keepdims=True).astype(np.float64)
         if (deg == 0).any():
@@ -48,6 +51,23 @@ class MessageStructure:
         self.mask = adj
         self.mean_mat = Tensor(dense / deg)
         self.sum_mat = Tensor(dense)
+        self._fixed: dict[str, tuple[np.ndarray, Tensor]] = {}
+
+    def fixed_aggregate(self, op: str, h: Tensor) -> Tensor:
+        """``mean_mat @ h`` (``op="mean"``) or ``sum_mat @ h`` (``op="sum"``) for a
+        gradient-free input.
+
+        A read-only array, such as a graph's frozen feature matrix, cannot
+        change, so its product is computed once and kept here until another
+        array arrives; a writable one is multiplied afresh on every call.
+        """
+        mat = self.mean_mat if op == "mean" else self.sum_mat
+        if h.data.flags.writeable:
+            return nn.matmul(mat, h)
+        hit = self._fixed.get(op)
+        if hit is None or hit[0] is not h.data:
+            hit = self._fixed[op] = (h.data, nn.matmul(mat, h))
+        return hit[1]
 
     @classmethod
     def from_graph(cls, g: Graph) -> "MessageStructure":
@@ -103,6 +123,13 @@ def layer_forward(layer: GnnLayer, h: Tensor, structure, training: bool = False,
 
     ``structure`` may be a Subgraph or a prebuilt MessageStructure. ReLU is
     applied after aggregation; dropout only in training mode.
+
+    Each mean or sum aggregation runs at a narrow width. A gradient-free
+    input is the fixed feature matrix of the first layer: it is aggregated
+    (once per structure when read-only, see
+    ``MessageStructure.fixed_aggregate``), then projected. A gradient-carrying input is the hidden matrix of the second
+    layer: it is projected to the class count first, and the projection is
+    aggregated, as in GCN's ``A(HW)``.
     """
     if isinstance(structure, Subgraph):
         structure = MessageStructure.from_subgraph(structure)
@@ -112,12 +139,23 @@ def layer_forward(layer: GnnLayer, h: Tensor, structure, training: bool = False,
         )
     if h.data.shape[1] != layer.in_dim:
         raise ValueError(f"feature dim {h.data.shape[1]} != layer in_dim {layer.in_dim}")
+    fixed = not h.requires_grad
 
     if layer.kind == "gcn":
-        out = nn.matmul(nn.matmul(structure.mean_mat, h), layer.params["w"])
+        w = layer.params["w"]
+        if fixed:
+            out = nn.matmul(structure.fixed_aggregate("mean", h), w)
+        else:
+            out = nn.matmul(structure.mean_mat, nn.matmul(h, w))
     elif layer.kind == "sage":
-        agg = nn.matmul(structure.mean_mat, h)
-        out = nn.matmul(nn.concat_cols([h, agg]), layer.params["w"])
+        w = layer.params["w"]
+        if fixed:
+            out = nn.matmul(nn.concat_cols([h, structure.fixed_aggregate("mean", h)]), w)
+        else:
+            d = layer.in_dim
+            own = nn.matmul(h, nn.row_slice(w, 0, d))
+            neighbors = nn.matmul(h, nn.row_slice(w, d, 2 * d))
+            out = nn.add(own, nn.matmul(structure.mean_mat, neighbors))
     elif layer.kind == "gat":
         head_outs = []
         for i in range(layer.heads):
@@ -129,8 +167,14 @@ def layer_forward(layer: GnnLayer, h: Tensor, structure, training: bool = False,
             head_outs.append(nn.matmul(attn, z))
         out = head_outs[0] if len(head_outs) == 1 else nn.concat_cols(head_outs)
     elif layer.kind == "gin":
-        summed = nn.add(nn.matmul(structure.sum_mat, h), nn.scalar_mul(h, layer.params["eps"]))
-        hidden = nn.relu(nn.add(nn.matmul(summed, layer.params["w1"]), layer.params["b1"]))
+        w1, eps = layer.params["w1"], layer.params["eps"]
+        if fixed:
+            summed = nn.add(structure.fixed_aggregate("sum", h), nn.scalar_mul(h, eps))
+            projected = nn.matmul(summed, w1)
+        else:
+            z = nn.matmul(h, w1)
+            projected = nn.add(nn.matmul(structure.sum_mat, z), nn.scalar_mul(z, eps))
+        hidden = nn.relu(nn.add(projected, layer.params["b1"]))
         out = nn.add(nn.matmul(hidden, layer.params["w2"]), layer.params["b2"])
     else:
         raise ValueError(f"unknown layer kind {layer.kind!r}")

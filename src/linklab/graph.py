@@ -73,10 +73,6 @@ class Graph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        self._check_node(v)
-        return len(self._adj[v])
-
     def has_edge(self, u: int, v: int) -> bool:
         return normalize_edge(u, v) in self.edges
 

@@ -174,6 +174,20 @@ def concat_cols(tensors: list[Tensor]) -> Tensor:
     return _result(out_data, tuple(tensors), backward)
 
 
+def row_slice(x: Tensor, start: int, stop: int) -> Tensor:
+    """Rows ``start:stop`` of a 2-D tensor; the gradient flows back into those rows."""
+    if x.data.ndim != 2 or not (0 <= start < stop <= x.data.shape[0]):
+        raise ValueError(f"row slice {start}:{stop} outside shape {x.data.shape}")
+    out_data = x.data[start:stop]
+
+    def backward(g: np.ndarray) -> None:
+        full = np.zeros_like(x.data)
+        full[start:stop] = g
+        x._accumulate(full)
+
+    return _result(out_data, (x,), backward)
+
+
 def outer_sum(col: Tensor, row: Tensor) -> Tensor:
     """``out[i, j] = col[i, 0] + row[j, 0]`` for two column vectors."""
     if col.data.ndim != 2 or col.data.shape[1] != 1:

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from linklab import cli
 from linklab.cli import main as cli_main
 from linklab.defenses import DefenseConfig
 from linklab.experiment import (
@@ -333,3 +334,22 @@ class TestCli:
         ])
         assert code == 0
         assert "transfer" in capsys.readouterr().out
+
+    def test_transfer_rejects_shadow_keys_it_ignores(self, tmp_path, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the pipeline started")
+
+        monkeypatch.setattr(cli, "run_experiment", no_run)
+        shadow_cfg = tmp_path / "shadow.cfg"
+        shadow_cfg.write_text(
+            "synthetic_communities = 5\nseed = 8\nshadow_arch = gcn\nepochs = 3\n"
+            "hidden = 16\nlearning_rate = 0.01\ndropout = 0.1\n"
+        )
+        with pytest.raises(ValueError) as err:
+            cli_main(["transfer", "--runs", "1", "--shadow-config", str(shadow_cfg)])
+        message = str(err.value)
+        for key in ("shadow_arch", "epochs", "hidden", "learning_rate", "dropout"):
+            assert repr(key) in message
+        for key in ("synthetic_communities", "seed"):
+            assert repr(key) not in message
+

@@ -1,9 +1,11 @@
 """Layer kernels vs explicit-summation oracles, gradients, training, queries."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from linklab import nn
+from linklab import gnn, nn
 from linklab.data import generate_planted_partition, make_splits
 from linklab.gnn import (
     ARCHITECTURES,
@@ -19,7 +21,9 @@ from linklab.gnn import (
     train_gnn,
 )
 from linklab.graph import Graph, khop_subgraph, normalize_edge
-from linklab.nn import Tensor
+from linklab.nn import Parameter, Tensor
+
+DATA = Path(__file__).parent / "data"
 
 
 def tiny_graph(n, edges, feats, labels=None):
@@ -90,7 +94,75 @@ def oracle_layer(kind, params, h, adj):
     raise ValueError(kind)
 
 
+def aggregate_first_layer_forward(layer, h, structure, training=False, rng=None,
+                                  dropout_rate=0.5):
+    """Every layer kind in the aggregate-then-project order: each aggregation
+    runs at the input width, on every call. The oracle for layer_forward."""
+    if layer.kind == "gcn":
+        out = nn.matmul(nn.matmul(structure.mean_mat, h), layer.params["w"])
+    elif layer.kind == "sage":
+        agg = nn.matmul(structure.mean_mat, h)
+        out = nn.matmul(nn.concat_cols([h, agg]), layer.params["w"])
+    elif layer.kind == "gat":
+        return layer_forward(layer, h, structure, training, rng, dropout_rate)
+    elif layer.kind == "gin":
+        summed = nn.add(nn.matmul(structure.sum_mat, h), nn.scalar_mul(h, layer.params["eps"]))
+        hidden = nn.relu(nn.add(nn.matmul(summed, layer.params["w1"]), layer.params["b1"]))
+        out = nn.add(nn.matmul(hidden, layer.params["w2"]), layer.params["b2"])
+    else:
+        raise ValueError(layer.kind)
+    out = nn.relu(out)
+    if training and dropout_rate > 0.0:
+        out = nn.dropout(out, dropout_rate, training=True, rng=rng)
+    return out
+
+
 PATH_EDGES = [(0, 1), (1, 2), (2, 3)]
+
+
+def loop_adjacency(n, edges):
+    """Per-edge construction of the self-looped boolean adjacency."""
+    adj = np.zeros((n, n), dtype=bool)
+    for u, v in edges:
+        adj[u, v] = True
+        adj[v, u] = True
+    np.fill_diagonal(adj, True)
+    return adj
+
+
+class TestMessageStructure:
+    def test_matches_per_edge_construction(self):
+        rng = np.random.default_rng(12)
+        n = 30
+        edges = {normalize_edge(int(u), int(v)) for u, v in rng.integers(0, n, size=(80, 2))}
+        structure = MessageStructure(n, frozenset(edges))
+        adj = loop_adjacency(n, edges)
+        assert structure.mask.tobytes() == adj.tobytes()
+        dense = adj.astype(np.float64)
+        deg = adj.sum(axis=1, keepdims=True).astype(np.float64)
+        assert structure.mean_mat.data.tobytes() == (dense / deg).tobytes()
+        assert structure.sum_mat.data.tobytes() == dense.tobytes()
+
+    @pytest.mark.parametrize("edges", [[(0, 1), (1, 3)], [(0, 1), (-1, 2)]])
+    def test_out_of_range_edge_named(self, edges):
+        bad = edges[-1]
+        with pytest.raises(ValueError, match=rf"edge \({bad[0]}, {bad[1]}\) outside node range"):
+            MessageStructure(3, edges)
+
+    def test_fixed_aggregate_follows_its_input(self):
+        structure = MessageStructure(3, [(0, 1)])
+        frozen, other = np.arange(6.0).reshape(3, 2), np.ones((3, 2))
+        frozen.setflags(write=False)
+        other.setflags(write=False)
+        first = structure.fixed_aggregate("mean", Tensor(frozen))
+        assert structure.fixed_aggregate("mean", Tensor(frozen)) is first
+        np.testing.assert_array_equal(structure.fixed_aggregate("mean", Tensor(other)).data,
+                                      structure.mean_mat.data @ other)
+        np.testing.assert_array_equal(structure.fixed_aggregate("sum", Tensor(frozen)).data,
+                                      structure.sum_mat.data @ frozen)
+        writable = Tensor(np.ones((3, 2)))
+        assert structure.fixed_aggregate("mean", writable) is not structure.fixed_aggregate(
+            "mean", writable)
 
 
 class TestLayerForwardOracles:
@@ -101,9 +173,14 @@ class TestLayerForwardOracles:
         layer = init_gnn(kind, d_in, d_out, rng, hidden=d_out).layer1
         h = rng.normal(size=(n, d_in))
         structure = MessageStructure(n, PATH_EDGES)
-        got = layer_forward(layer, Tensor(h), structure).data
         expected = oracle_layer(kind, layer.params, h, adjacency_with_self_loops(n, PATH_EDGES))
-        np.testing.assert_allclose(got, expected, atol=1e-10)
+        # the fixed feature matrix, aggregated before its projection, and a
+        # gradient-carrying hidden input, projected before its aggregation
+        for x in (Tensor(h), Parameter(h)):
+            got = layer_forward(layer, x, structure).data
+            np.testing.assert_allclose(got, expected, atol=1e-10)
+        old = aggregate_first_layer_forward(layer, Parameter(h), structure).data
+        np.testing.assert_allclose(got, old, rtol=0, atol=1e-12)
 
     def test_gcn_single_node_identity_weights(self):
         layer = init_gnn("gcn", 3, 3, np.random.default_rng(0), hidden=3).layer1
@@ -133,41 +210,60 @@ class TestLayerForwardOracles:
             layer_forward(layer, Tensor(np.zeros((5, 3))), MessageStructure(3, []))
 
 
+def gradients(loss_fn, tensors):
+    """Gradients of ``loss_fn()`` for ``tensors``, which are left cleared."""
+    loss_fn().backward()
+    grads = [np.zeros_like(t.data) if t.grad is None else t.grad for t in tensors]
+    for t in tensors:
+        t.grad = None
+    return grads
+
+
 class TestLayerGradients:
     @pytest.mark.parametrize("kind", ARCHITECTURES)
-    def test_finite_difference_on_four_node_graph(self, kind):
+    def test_finite_difference_on_four_node_graph(self, kind, monkeypatch):
         rng = np.random.default_rng(31)
         model = init_gnn(kind, 3, 2, rng, hidden=4)
         structure = MessageStructure(4, PATH_EDGES)
-        h0 = Tensor(rng.normal(size=(4, 3)))
+        x = rng.normal(size=(4, 3))
         labels = rng.integers(0, 2, size=4)
         params = model.parameters()
         # jitter zero-initialized biases to a generic point, away from kinks
         for p in params:
             p.data = p.data + rng.normal(0.0, 0.3, p.data.shape)
 
-        def loss_fn():
-            logits = gnn_forward(model, h0, structure, training=False)
-            loss, _ = nn.softmax_cross_entropy(logits, labels)
-            return loss
+        # the fixed feature matrix, then a gradient-carrying input that both
+        # layers project before they aggregate
+        for h0 in (Tensor(x), Parameter(x)):
+            checked = params + [h0] if h0.requires_grad else params
 
-        loss_fn().backward()
-        analytic = [np.array(p.grad) if p.grad is not None else np.zeros_like(p.data) for p in params]
-        for p in params:
-            p.grad = None
-        h = 1e-5
-        for p, ana in zip(params, analytic):
-            flat = p.data.reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + h
-                hi = float(loss_fn().data)
-                flat[i] = orig - h
-                lo = float(loss_fn().data)
-                flat[i] = orig
-                numeric = (hi - lo) / (2 * h)
-                denom = max(abs(numeric), 1.0)
-                assert abs(ana.reshape(-1)[i] - numeric) / denom < 1e-4
+            def loss_fn():
+                logits = gnn_forward(model, h0, structure, training=False)
+                loss, _ = nn.softmax_cross_entropy(logits, labels)
+                return loss
+
+            analytic = gradients(loss_fn, checked)
+            if h0.requires_grad:
+                with monkeypatch.context() as m:
+                    m.setattr(gnn, "layer_forward", aggregate_first_layer_forward)
+                    old_loss = float(loss_fn().data)
+                    old = gradients(loss_fn, checked)
+                assert abs(float(loss_fn().data) - old_loss) <= 1e-12
+                for ana, ref in zip(analytic, old):
+                    np.testing.assert_allclose(ana, ref, rtol=0, atol=1e-12)
+            h = 1e-5
+            for p, ana in zip(checked, analytic):
+                flat = p.data.reshape(-1)
+                for i in range(flat.size):
+                    orig = flat[i]
+                    flat[i] = orig + h
+                    hi = float(loss_fn().data)
+                    flat[i] = orig - h
+                    lo = float(loss_fn().data)
+                    flat[i] = orig
+                    numeric = (hi - lo) / (2 * h)
+                    denom = max(abs(numeric), 1.0)
+                    assert abs(ana.reshape(-1)[i] - numeric) / denom < 1e-4
 
 
 class TestModelAssembly:
@@ -208,6 +304,31 @@ class TestTraining:
         model = train_gnn(g, "sage", seed=2, epochs=60)
         acc = evaluate_accuracy(model, g)
         assert abs(acc - 1.0 / c) <= 0.1
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_training_follows_aggregate_first_order(self, arch, planted_split, monkeypatch):
+        g, bundle = planted_split
+        model = train_gnn(bundle.shadow_train, arch, seed=3, num_classes=g.num_classes, epochs=20)
+        monkeypatch.setattr(gnn, "layer_forward", aggregate_first_layer_forward)
+        old = train_gnn(bundle.shadow_train, arch, seed=3, num_classes=g.num_classes, epochs=20)
+        for p, q in zip(model.parameters(), old.parameters()):
+            np.testing.assert_allclose(p.data, q.data, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("arch", ("gcn", "sage", "gin"))
+    def test_feature_aggregation_runs_once_per_training(self, arch, planted_split, monkeypatch):
+        g, bundle = planted_split
+        n = bundle.shadow_train.num_nodes
+        fixed_products = []
+        matmul = nn.matmul
+
+        def counting_matmul(a, b):
+            if a.data.shape == (n, n) and not b.requires_grad:
+                fixed_products.append(b.data.shape)
+            return matmul(a, b)
+
+        monkeypatch.setattr(nn, "matmul", counting_matmul)
+        train_gnn(bundle.shadow_train, arch, seed=3, num_classes=g.num_classes, epochs=7)
+        assert fixed_products == [(n, g.feature_dim)]
 
     def test_single_class_rejected(self):
         g = tiny_graph(4, [(0, 1)], np.ones((4, 3)))
@@ -323,3 +444,26 @@ class TestCheckpointRoundtrip:
             assert p1.data.tobytes() == p2.data.tobytes()
         sub = khop_subgraph(bundle.shadow_train, 0, 2)
         np.testing.assert_array_equal(khop_query(model, sub), khop_query(restored, sub))
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_legacy_checkpoint_loads_and_predicts(self, arch, tmp_path):
+        # Written by the aggregate-then-project order, trained 10 epochs on
+        # this graph; the posteriors were recorded at the same time.
+        path = DATA / f"legacy_{arch}.ckpt"
+        model = load_gnn(str(path))
+        resaved = tmp_path / "resaved.ckpt"
+        save_gnn(model, str(resaved))
+        assert resaved.read_bytes() == path.read_bytes()
+        graph = legacy_graph()
+        recorded = np.load(DATA / "legacy_posteriors.npz")[arch]
+        posts = np.array([[khop_query(model, khop_subgraph(graph, v, k)) for k in (0, 1, 2)]
+                          for v in range(graph.num_nodes)])
+        np.testing.assert_array_equal(posts.argmax(axis=2), recorded.argmax(axis=2))
+        np.testing.assert_allclose(posts, recorded, rtol=0, atol=1e-12)
+
+
+def legacy_graph():
+    rng = np.random.default_rng(17)
+    n = 12
+    edges = [(i, (i + 1) % n) for i in range(n)] + [(0, 6), (2, 9), (3, 7)]
+    return tiny_graph(n, edges, rng.normal(size=(n, 4)), labels=np.arange(n) % 3)

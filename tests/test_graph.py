@@ -63,11 +63,6 @@ class TestGraphConstruction:
         with pytest.raises(ValueError):
             Graph(num_nodes=3, edges=frozenset(), features=np.zeros((3, 4)), labels=np.zeros(2, dtype=int))
 
-    def test_degree_counts_incident_pairs(self):
-        g = make_graph(4, [(0, 1), (0, 2), (0, 3)])
-        assert g.degree(0) == 3
-        assert g.degree(1) == 1
-
     def test_features_are_immutable(self):
         g = make_graph(3, [(0, 1)])
         with pytest.raises(ValueError):

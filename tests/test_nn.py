@@ -248,6 +248,17 @@ class TestGradientSuite:
             lambda: nn.softmax_cross_entropy(nn.concat_cols([a, b]), labels)[0], [a, b]
         )
 
+    def test_row_slice(self):
+        rng = np.random.default_rng(29)
+        w = Parameter(rng.normal(size=(5, 3)))
+        labels = rng.integers(0, 3, size=2)
+        finite_difference_check(
+            lambda: nn.softmax_cross_entropy(
+                nn.add(nn.row_slice(w, 0, 2), nn.row_slice(w, 3, 5)), labels)[0], [w]
+        )
+        with pytest.raises(ValueError):
+            nn.row_slice(w, 3, 6)
+
     def test_outer_sum(self):
         rng = np.random.default_rng(27)
         col = Parameter(rng.normal(size=(3, 1)))
