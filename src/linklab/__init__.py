@@ -3,11 +3,9 @@
 from .attacks import (
     ATTACK_SPECS,
     AttackSpec,
-    LinkVerdict,
     MultiInputMlp,
-    assemble_features,
+    attack_dataset_inputs,
     build_attack_model,
-    infer_link,
     link_scores,
     train_attack,
 )
@@ -45,7 +43,6 @@ from .gnn import (
     khop_query,
     layer_forward,
     load_gnn,
-    predict_label,
     save_gnn,
     train_gnn,
 )

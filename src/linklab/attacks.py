@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .data import PairDataset
 from .defenses import DefenseConfig, label_only_feature, query_temperature
 from .features import (
     PosteriorTable,
@@ -115,14 +114,6 @@ class MultiInputMlp:
         return out
 
 
-@dataclass(frozen=True)
-class LinkVerdict:
-    """Probability of a link plus the 0.5-threshold decision."""
-
-    score: float
-    decision: int
-
-
 def build_attack_model(attack_id: str, input_dims: dict[str, int],
                        rng: np.random.Generator) -> MultiInputMlp:
     """Instantiate the classifier for ``attack_id`` given its input widths."""
@@ -176,58 +167,48 @@ def mlp_forward(model: MultiInputMlp, inputs: dict[str, np.ndarray], training: b
     return nn.add(nn.matmul(joined, model.head_w), model.head_b)
 
 
-def _require_table_on(table: PosteriorTable | None, graph: Graph, source: str) -> None:
-    """Posteriors must come from the graph the pairs were drawn from."""
-    if table is not None and table.graph is not graph:
-        sizes = [f"{g.num_nodes} nodes, {g.num_edges} edges" for g in (table.graph, graph)]
-        raise ValueError(f"posterior table graph ({sizes[0]}) is not the graph "
-                         f"of the {source} ({sizes[1]})")
-
-
-def assemble_features(spec: AttackSpec, table: PosteriorTable | None, graph: Graph,
-                      pair: tuple[int, int], defense: DefenseConfig | None = None,
-                      transfer: bool = False, pairwise: str = "all",
-                      collect_posteriors: list | None = None) -> dict[str, np.ndarray]:
-    """One feature vector per active input kind for a single node pair;
-    posteriors come from ``table``, bound to ``graph`` at the defense's
-    query temperature."""
-    u, v = pair
-    if u == v:
+def attack_dataset_inputs(spec: AttackSpec, table: PosteriorTable | None, graph: Graph,
+                          pairs, defense: DefenseConfig | None = None, transfer: bool = False,
+                          pairwise: str = "all") -> dict[str, np.ndarray]:
+    """One feature matrix per active input kind, one row per node pair of
+    ``graph`` in the ``(m, 2)`` array ``pairs``; posteriors come from
+    ``table``, bound to ``graph`` at the defense's query temperature."""
+    pairs = np.asarray(pairs, dtype=np.int64)
+    us, vs = pairs[:, 0], pairs[:, 1]
+    if np.any(us == vs):
         raise ValueError("a pair needs two distinct nodes")
     if spec.uses_graph_feats and spec.hop == 0:
         raise ValueError(f"{spec.attack_id}: graph features unavailable at hop 0")
+    if table is not None and table.graph is not graph:
+        sizes = [f"{g.num_nodes} nodes, {g.num_edges} edges" for g in (table.graph, graph)]
+        raise ValueError(f"posterior table graph ({sizes[0]}) is not the graph "
+                         f"of the pairs ({sizes[1]})")
     out: dict[str, np.ndarray] = {}
     if spec.uses_posteriors:
         if table is None:
             raise ValueError("posterior features need a posterior table")
-        _require_table_on(table, graph, "pair")
         if table.temperature != query_temperature(defense):
             raise ValueError(f"posterior table answers at temperature {table.temperature}, "
                              f"the defense at {query_temperature(defense)}")
-        post_u, post_v = table.query(u, spec.hop, pair), table.query(v, spec.hop, pair)
+        post_u, post_v = table.pair_posteriors(pairs, spec.hop)
         if defense is not None and defense.kind == "label_only":
-            out["posterior"] = label_only_feature(
-                int(np.argmax(post_u)), int(np.argmax(post_v)), table.model.num_classes
-            )
+            out["posterior"] = label_only_feature(post_u.argmax(axis=1), post_v.argmax(axis=1),
+                                                  table.model.num_classes)
+        elif transfer:
+            out["posterior"] = np.array([transfer_block(pu, pv) for pu, pv in zip(post_u, post_v)])
         else:
-            if collect_posteriors is not None:
-                collect_posteriors.append(post_u)
-                collect_posteriors.append(post_v)
-            if transfer:
-                out["posterior"] = transfer_block(post_u, post_v)
-            else:
-                out["posterior"] = pairwise_concat(post_u, post_v, pairwise)
+            out["posterior"] = pairwise_concat(post_u, post_v, pairwise)
     if spec.uses_node_attrs:
-        out["node_attr"] = node_attr_block(graph.features[u], graph.features[v])
+        out["node_attr"] = node_attr_block(graph.features[us], graph.features[vs])
     if spec.uses_graph_feats:
-        out["graph"] = graph_block(graph, u, v)
+        out["graph"] = np.array([graph_block(graph, u, v) for u, v in pairs.tolist()])
     return out
 
 
 def posterior_columns(num_classes: int, defense: DefenseConfig | None = None,
                       transfer: bool = False, pairwise: str = "all") -> list[str]:
-    """Column names of the posterior block ``assemble_features`` builds with
-    the same defense, transfer and pairwise settings."""
+    """Column names of the posterior block ``attack_dataset_inputs`` builds
+    with the same defense, transfer and pairwise settings."""
     if defense is not None and defense.kind == "label_only":
         return label_block_names(num_classes)
     if transfer:
@@ -266,28 +247,3 @@ def link_scores(model: MultiInputMlp, inputs: dict[str, np.ndarray]) -> np.ndarr
     logits = mlp_forward(model, inputs, training=False)
     probs = nn.softmax_with_temperature(logits, 1.0).data
     return np.array(probs[:, 1])
-
-
-def infer_link(model: MultiInputMlp, features: dict[str, np.ndarray]) -> LinkVerdict:
-    """Score a single pair; the decision thresholds the score at one half."""
-    batched = {kind: np.atleast_2d(np.asarray(vec, dtype=np.float64))
-               for kind, vec in features.items()}
-    score = float(link_scores(model, batched)[0])
-    return LinkVerdict(score=score, decision=int(score >= 0.5))
-
-
-def attack_dataset_inputs(spec: AttackSpec, table: PosteriorTable | None, dataset: PairDataset,
-                          defense: DefenseConfig | None = None, transfer: bool = False,
-                          pairwise: str = "all",
-                          collect_posteriors: list | None = None) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Feature matrices, one row per pair and one matrix per input kind,
-    plus labels for every pair in a PairDataset."""
-    _require_table_on(table, dataset.graph, f"{dataset.provenance} pairs")
-    rows: dict[str, list[np.ndarray]] = {}
-    for pair in dataset.node_pairs:
-        vecs = assemble_features(spec, table, dataset.graph, pair, defense=defense,
-                                 transfer=transfer, pairwise=pairwise,
-                                 collect_posteriors=collect_posteriors)
-        for kind, vec in vecs.items():
-            rows.setdefault(kind, []).append(vec)
-    return {kind: np.vstack(vs) for kind, vs in rows.items()}, dataset.labels

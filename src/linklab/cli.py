@@ -100,6 +100,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_attack(args: argparse.Namespace) -> int:
     cfg, out = _build(args)
+    if not out and (args.analyses or args.export_features):
+        raise SystemExit("--analyses and --export-features write under --out; give --out DIR")
     keep = bool(out)
     report = run_experiment(cfg, keep_artifacts=keep)
     for attack_id in report.attack_ids:

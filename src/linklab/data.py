@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, induced_subgraph, normalize_edge
+from .graph import Graph, adjacency_matrix, induced_subgraph, normalize_edge
 from .rng import stream
 
 @dataclass(frozen=True)
@@ -86,21 +86,19 @@ def _induce_bundle(g: Graph, target_train, target_test, shadow_train, shadow_tes
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairDataset:
-    """Balanced positive/negative node pairs over one training graph."""
+    """Balanced positive/negative node pairs over one training graph: an
+    ``(m, 2)`` array of node ids and its ``(m,)`` link labels, both read-only."""
 
-    pairs: tuple[tuple[int, int, int], ...]
+    pairs: np.ndarray
+    labels: np.ndarray
     graph: Graph
     provenance: str
 
-    @property
-    def labels(self) -> np.ndarray:
-        return np.array([label for _, _, label in self.pairs], dtype=np.int64)
-
-    @property
-    def node_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple((u, v) for u, v, _ in self.pairs)
+    def __post_init__(self):
+        self.pairs.setflags(write=False)
+        self.labels.setflags(write=False)
 
 
 def build_pair_dataset(g: Graph, seed: int, provenance: str = "unspecified") -> PairDataset:
@@ -118,17 +116,15 @@ def build_pair_dataset(g: Graph, seed: int, provenance: str = "unspecified") -> 
 
     rng = stream(seed, "negative-sample")
     needed = len(positives)
-    edge_set = set(positives)
     if total_pairs <= 200_000 or num_non_edges < 3 * needed:
-        candidates = [
-            (u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if (u, v) not in edge_set
-        ]
+        # every non-edge in row-major upper-triangle order
+        iu, ju = np.triu_indices(n, k=1)
+        non_edge = ~adjacency_matrix(g)[iu, ju]
+        candidates = np.stack([iu[non_edge], ju[non_edge]], axis=1)
         chosen = rng.choice(len(candidates), size=needed, replace=False)
-        negatives = [candidates[i] for i in sorted(int(c) for c in chosen)]
+        negatives = candidates[np.sort(chosen)]
     else:
+        edge_set = set(positives)
         seen: set[tuple[int, int]] = set()
         negatives = []
         while len(negatives) < needed:
@@ -142,10 +138,11 @@ def build_pair_dataset(g: Graph, seed: int, provenance: str = "unspecified") -> 
             seen.add(e)
             negatives.append(e)
 
-    labeled = [(u, v, 1) for u, v in positives] + [(u, v, 0) for u, v in negatives]
-    order = stream(seed, "pair-shuffle").permutation(len(labeled))
-    pairs = tuple(labeled[i] for i in order)
-    return PairDataset(pairs=pairs, graph=g, provenance=provenance)
+    pairs = np.concatenate([np.array(positives, dtype=np.int64),
+                            np.array(negatives, dtype=np.int64)])
+    labels = np.repeat(np.array([1, 0], dtype=np.int64), needed)
+    order = stream(seed, "pair-shuffle").permutation(len(pairs))
+    return PairDataset(pairs=pairs[order], labels=labels[order], graph=g, provenance=provenance)
 
 
 def enforce_attack_provenance(train_set: PairDataset, test_set: PairDataset) -> None:

@@ -49,14 +49,15 @@ def query_temperature(defense: DefenseConfig | None) -> float:
     return 1.0
 
 
-def label_only_feature(label_u: int, label_v: int, num_classes: int) -> np.ndarray:
-    """Sum of the two one-hot label vectors; entries are 0, 1, or 2."""
-    out = np.zeros(num_classes, dtype=np.float64)
-    for label in (label_u, label_v):
-        if not (0 <= label < num_classes):
-            raise ValueError(f"label {label} outside [0, {num_classes})")
-        out[label] += 1.0
-    return out
+def label_only_feature(label_u, label_v, num_classes: int) -> np.ndarray:
+    """Sum of the two one-hot label vectors; entries are 0, 1, or 2. Label
+    arrays give one row per pair."""
+    for labels in (label_u, label_v):
+        outside = np.asarray(labels)[(labels < 0) | (labels >= num_classes)]
+        if outside.size:
+            raise ValueError(f"label {outside.flat[0]} outside [0, {num_classes})")
+    one_hot = np.eye(num_classes)
+    return one_hot[label_u] + one_hot[label_v]
 
 
 def _validate_adjacency(adj: np.ndarray) -> np.ndarray:

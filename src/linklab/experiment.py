@@ -116,6 +116,13 @@ class ExperimentConfig:
             raise ValueError("shadow_fraction must be in (0, 1]")
         if self.pairwise not in ("all",) + PAIRWISE_OP_NAMES:
             raise ValueError(f"unknown pairwise_ops {self.pairwise!r}")
+        for name in ("epochs", "attack_epochs", "hidden"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not self.learning_rate > 0:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not (0.0 <= self.dropout < 1.0):
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
     def active_attacks(self) -> tuple[str, ...]:
         if self.hops is None:
@@ -244,29 +251,30 @@ def _single_run(cfg: ExperimentConfig, graph: Graph, shadow_cfg: ExperimentConfi
                 f"got {graph.feature_dim} vs {shadow_graph.feature_dim}"
             )
         with _stage(f"attack-{attack_id}"):
-            train_inputs, train_labels = attack_dataset_inputs(
-                spec, shadow_table, attack_train, defense=defense, transfer=transfer,
-                pairwise=cfg.pairwise,
+            train_inputs = attack_dataset_inputs(
+                spec, shadow_table, attack_train.graph, attack_train.pairs, defense=defense,
+                transfer=transfer, pairwise=cfg.pairwise,
             )
             attack_model = train_attack(
-                attack_id, train_inputs, train_labels,
+                attack_id, train_inputs, attack_train.labels,
                 derive_seed(run_seed, "attack-train", attack_id),
                 epochs=cfg.attack_epochs, learning_rate=cfg.learning_rate,
                 dropout_rate=cfg.dropout,
             )
-            collector: list | None = [] if keep and spec.uses_posteriors else None
-            test_inputs, test_labels = attack_dataset_inputs(
-                spec, target_table, attack_test, defense=defense, transfer=transfer,
-                pairwise=cfg.pairwise, collect_posteriors=collector,
+            test_inputs = attack_dataset_inputs(
+                spec, target_table, attack_test.graph, attack_test.pairs, defense=defense,
+                transfer=transfer, pairwise=cfg.pairwise,
             )
             scores = link_scores(attack_model, test_inputs)
-            aucs[attack_id] = auc(scores, test_labels)
+            aucs[attack_id] = auc(scores, attack_test.labels)
         if keep:
             models[attack_id] = attack_model
             score_map[attack_id] = scores
             inputs_map[attack_id] = test_inputs
-            if collector:
-                posterior_map[attack_id] = np.vstack(collector)
+            if spec.uses_posteriors and defense.kind != "label_only":
+                # cached queries; the leading-probability CDF ignores row order
+                posterior_map[attack_id] = np.vstack(
+                    target_table.pair_posteriors(attack_test.pairs, spec.hop))
 
     artifacts = None
     if keep:
@@ -435,7 +443,7 @@ def write_run_artifacts(report: RunReport, outdir: str) -> None:
     save_gnn(art.target, os.path.join(run_dir, "target.ckpt"))
     save_gnn(art.shadow, os.path.join(run_dir, "shadow.ckpt"))
     labels = art.attack_test.labels
-    pairs = art.attack_test.node_pairs
+    pairs = art.attack_test.pairs.tolist()
     for attack_id, scores in art.scores.items():
         _write_csv(
             os.path.join(run_dir, f"scores_{attack_id}.csv"),
@@ -452,9 +460,8 @@ def write_analyses(report: RunReport, outdir: str, groups: int = 10) -> None:
         raise ValueError("analyses need a report with retained artifacts")
     os.makedirs(outdir, exist_ok=True)
     graph = art.attack_test.graph
-    pairs = art.attack_test.node_pairs
     labels = art.attack_test.labels
-    metric_values = pair_metric_values(graph, pairs)
+    metric_values = pair_metric_values(graph, art.attack_test.pairs.tolist())
     pos_mask = labels == 1
     neg_mask = labels == 0
 

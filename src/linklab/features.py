@@ -30,7 +30,8 @@ def pairwise_ops(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
 
 
 def pairwise_concat(a: np.ndarray, b: np.ndarray, ops: str = "all") -> np.ndarray:
-    """Concatenate the selected pairwise operations in their fixed order."""
+    """Concatenate the selected pairwise operations in their fixed order;
+    stacked ``(m, C)`` inputs give one row per pair."""
     blocks = dict(zip(PAIRWISE_OP_NAMES, pairwise_ops(a, b)))
     if ops == "all":
         selected = PAIRWISE_OP_NAMES
@@ -38,7 +39,7 @@ def pairwise_concat(a: np.ndarray, b: np.ndarray, ops: str = "all") -> np.ndarra
         selected = (ops,)
     else:
         raise ValueError(f"unknown pairwise op selection {ops!r}")
-    return np.concatenate([blocks[name] for name in selected])
+    return np.concatenate([blocks[name] for name in selected], axis=-1)
 
 
 class PosteriorTable:
@@ -73,6 +74,13 @@ class PosteriorTable:
             post.setflags(write=False)
             self._posteriors[key] = post
         return post
+
+    def pair_posteriors(self, pairs: np.ndarray, hop: int) -> tuple[np.ndarray, np.ndarray]:
+        """Stacked ``(m, C)`` posteriors of the first and of the second node
+        of every pair in ``pairs``, each query without the pair's own edge."""
+        pairs = np.asarray(pairs).tolist()
+        return (np.array([self.query(u, hop, (u, v)) for u, v in pairs]),
+                np.array([self.query(v, hop, (u, v)) for u, v in pairs]))
 
 
 def require_distribution(p: np.ndarray) -> np.ndarray:

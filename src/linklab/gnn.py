@@ -261,11 +261,6 @@ def khop_query(model: TrainedGnn, sub: Subgraph, temperature: float = 1.0) -> np
     return np.array(post)
 
 
-def predict_label(model: TrainedGnn, sub: Subgraph) -> int:
-    """Argmax class of the center posterior; ties go to the lowest class id."""
-    return int(np.argmax(khop_query(model, sub)))
-
-
 def evaluate_accuracy(model: TrainedGnn, g: Graph) -> float:
     """Whole-graph classification accuracy (dropout off, self-loops added)."""
     structure = MessageStructure.from_graph(g)

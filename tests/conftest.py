@@ -45,8 +45,9 @@ def symmetry_pipeline():
     table = PosteriorTable(shadow, attack_train.graph)
     models = {}
     for attack_id in ALL_ATTACK_IDS:
-        inputs, labels = attack_dataset_inputs(spec_for(attack_id), table, attack_train)
-        models[attack_id] = train_attack(attack_id, inputs, labels, seed=8, epochs=60)
+        inputs = attack_dataset_inputs(spec_for(attack_id), table, attack_train.graph,
+                                       attack_train.pairs)
+        models[attack_id] = train_attack(attack_id, inputs, attack_train.labels, seed=8, epochs=60)
     return bundle.target_train, target, models
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from linklab import nn
-from linklab.attacks import ALL_ATTACK_IDS, assemble_features, infer_link, spec_for
+from linklab.attacks import ALL_ATTACK_IDS, attack_dataset_inputs, link_scores, spec_for
 from linklab.data import generate_planted_partition
 from linklab.defenses import DefenseConfig, lap_graph, lap_graph_edge_estimate
 from linklab.experiment import ExperimentConfig, run_defense_sweep
@@ -203,8 +203,8 @@ def test_criterion_3_symmetry_suite(symmetry_pipeline):
     def score(attack_id, pair):
         # a fresh table per orientation, so no posterior is shared
         table = PosteriorTable(target, graph)
-        return infer_link(models[attack_id],
-                          assemble_features(spec_for(attack_id), table, graph, pair)).score
+        return link_scores(models[attack_id],
+                           attack_dataset_inputs(spec_for(attack_id), table, graph, [pair]))[0]
 
     mismatches = 0
     for attack_id in ALL_ATTACK_IDS:

@@ -5,10 +5,8 @@ import pytest
 
 from linklab.attacks import (
     ATTACK_SPECS,
-    assemble_features,
     attack_dataset_inputs,
     build_attack_model,
-    infer_link,
     link_scores,
     mlp_forward,
     spec_for,
@@ -106,11 +104,16 @@ def pipeline():
     return g, bundle, shadow, attack_train
 
 
+def one_pair(spec, table, graph, pair, **kwargs):
+    """Each feature block of a single pair, built as a one-row batch."""
+    return {kind: mat[0] for kind, mat in
+            attack_dataset_inputs(spec, table, graph, [pair], **kwargs).items()}
+
+
 class TestAssembleFeatures:
     def test_attack0_vector_length(self, pipeline):
         g, bundle, shadow, ds = pipeline
-        u, v, _ = ds.pairs[0]
-        feats = assemble_features(spec_for("a0"), PosteriorTable(shadow, ds.graph), ds.graph, (u, v))
+        feats = one_pair(spec_for("a0"), PosteriorTable(shadow, ds.graph), ds.graph, ds.pairs[0])
         assert set(feats) == {"posterior"}
         assert feats["posterior"].shape == (4 * g.num_classes,)
 
@@ -119,20 +122,18 @@ class TestAssembleFeatures:
 
         g = generate_planted_partition(70, 7, 0.3, 0.02, 6, 1.0, seed=2)
         model = init_gnn("gcn", 6, 7, np.random.default_rng(0), hidden=8)
-        feats = assemble_features(spec_for("a0"), PosteriorTable(model, g), g, (0, 1))
+        feats = one_pair(spec_for("a0"), PosteriorTable(model, g), g, (0, 1))
         assert feats["posterior"].shape == (28,)
 
     def test_baseline1_vector(self, pipeline):
         _, _, shadow, ds = pipeline
-        u, v, _ = ds.pairs[0]
-        feats = assemble_features(spec_for("b1"), None, ds.graph, (u, v))
+        feats = one_pair(spec_for("b1"), None, ds.graph, ds.pairs[0])
         assert set(feats) == {"graph"}
         assert feats["graph"].shape == (3,)
 
     def test_attack9_three_kinds(self, pipeline):
         g, _, shadow, ds = pipeline
-        u, v, _ = ds.pairs[0]
-        feats = assemble_features(spec_for("a9"), PosteriorTable(shadow, ds.graph), ds.graph, (u, v))
+        feats = one_pair(spec_for("a9"), PosteriorTable(shadow, ds.graph), ds.graph, ds.pairs[0])
         assert set(feats) == {"posterior", "node_attr", "graph"}
         assert feats["posterior"].shape == (4 * g.num_classes,)
         assert feats["node_attr"].shape == (ds.graph.feature_dim,)
@@ -143,20 +144,19 @@ class TestAssembleFeatures:
         from linklab.attacks import AttackSpec
 
         bogus = AttackSpec("custom", 0, True, False, True)
-        u, v, _ = ds.pairs[0]
-        with pytest.raises(ValueError):
-            assemble_features(bogus, PosteriorTable(shadow, ds.graph), ds.graph, (u, v))
+        with pytest.raises(ValueError, match="hop 0"):
+            attack_dataset_inputs(bogus, PosteriorTable(shadow, ds.graph), ds.graph, ds.pairs)
 
     def test_self_pair_rejected(self, pipeline):
         _, _, shadow, ds = pipeline
+        pairs = np.vstack([ds.pairs[:5], [[3, 3]]])
         with pytest.raises(ValueError, match="two distinct nodes"):
-            assemble_features(spec_for("a8"), PosteriorTable(shadow, ds.graph), ds.graph, (3, 3))
+            attack_dataset_inputs(spec_for("a8"), PosteriorTable(shadow, ds.graph), ds.graph, pairs)
 
     def test_transfer_posterior_width(self, pipeline):
         _, _, shadow, ds = pipeline
-        u, v, _ = ds.pairs[0]
-        feats = assemble_features(spec_for("a1"), PosteriorTable(shadow, ds.graph), ds.graph, (u, v),
-                                  transfer=True)
+        feats = one_pair(spec_for("a1"), PosteriorTable(shadow, ds.graph), ds.graph, ds.pairs[0],
+                         transfer=True)
         assert feats["posterior"].shape == (7,)
 
 
@@ -209,13 +209,15 @@ def model():
 
 
 class TestInferLink:
+    """Scoring a single pair: ``link_scores`` on a one-row batch."""
+
     def test_equal_logits_half(self, model):
         # force the head to produce equal logits
         logits = mlp_forward(model, {"posterior": np.zeros((1, 5))}, training=False)
         delta = logits.data[0, 1] - logits.data[0, 0]
         probs = 1.0 / (1.0 + np.exp(-delta))
-        verdict = infer_link(model, {"posterior": np.zeros(5)})
-        assert verdict.score == pytest.approx(float(probs), abs=1e-12)
+        score = link_scores(model, {"posterior": np.zeros((1, 5))})[0]
+        assert score == pytest.approx(float(probs), abs=1e-12)
 
     def test_scores_complement_to_one(self, model):
         rng = np.random.default_rng(8)
@@ -227,12 +229,6 @@ class TestInferLink:
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
         np.testing.assert_allclose(link_scores(model, {"posterior": x}), probs[:, 1], atol=1e-15)
 
-    def test_decision_threshold(self, model):
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            v = infer_link(model, {"posterior": rng.normal(size=5)})
-            assert v.decision == int(v.score >= 0.5)
-
     def test_logit_closed_forms(self):
         from linklab import nn as nnmod
 
@@ -243,21 +239,21 @@ class TestInferLink:
 
     def test_shape_mismatch_rejected(self, model):
         with pytest.raises(ValueError):
-            infer_link(model, {"posterior": np.zeros(9)})
+            link_scores(model, {"posterior": np.zeros((1, 9))})
 
 
 class TestEndToEndProperties:
     def test_order_invariance_quick(self, pipeline):
         g, bundle, shadow, ds = pipeline
-        inputs, labels = attack_dataset_inputs(spec_for("a1"), PosteriorTable(shadow, ds.graph), ds)
-        model = train_attack("a1", inputs, labels, seed=5, epochs=40)
+        spec = spec_for("a1")
+        inputs = attack_dataset_inputs(spec, PosteriorTable(shadow, ds.graph), ds.graph, ds.pairs)
+        model = train_attack("a1", inputs, ds.labels, seed=5, epochs=40)
         rng = np.random.default_rng(11)
 
-        def features(pair):
-            return assemble_features(spec_for("a1"), PosteriorTable(shadow, ds.graph), ds.graph, pair)
+        def score(pair):
+            table = PosteriorTable(shadow, ds.graph)
+            return link_scores(model, attack_dataset_inputs(spec, table, ds.graph, [pair]))[0]
 
         for _ in range(20):
-            u, v, _ = ds.pairs[int(rng.integers(len(ds.pairs)))]
-            fwd = infer_link(model, features((u, v)))
-            rev = infer_link(model, features((v, u)))
-            assert fwd.score == rev.score
+            u, v = ds.pairs[int(rng.integers(len(ds.pairs)))]
+            assert score((u, v)) == score((v, u))

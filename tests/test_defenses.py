@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from linklab.attacks import assemble_features, spec_for
+from linklab.attacks import attack_dataset_inputs, spec_for
 from linklab.defenses import (
     DefenseConfig,
     edge_rand,
@@ -18,7 +18,7 @@ from linklab.defenses import (
 )
 from linklab.data import generate_planted_partition, make_splits
 from linklab.features import PosteriorTable
-from linklab.gnn import khop_query, predict_label, train_gnn
+from linklab.gnn import khop_query, train_gnn
 from linklab.graph import adjacency_matrix, khop_subgraph
 
 
@@ -173,7 +173,8 @@ class TestApplyDefendedQuery:
 
     def _features(self, model, graph, u, v, defense):
         table = PosteriorTable(model, graph, query_temperature(defense))
-        return assemble_features(spec_for("a1"), table, graph, (u, v), defense=defense)["posterior"]
+        return attack_dataset_inputs(spec_for("a1"), table, graph, [(u, v)],
+                                     defense=defense)["posterior"][0]
 
     def test_none_matches_khop_query(self, defended_setup):
         _, bundle, model = defended_setup
@@ -197,7 +198,7 @@ class TestApplyDefendedQuery:
         graph = bundle.target_train
         for v in range(0, graph.num_nodes, 19):
             sub = khop_subgraph(graph, v, 1)
-            base = predict_label(model, sub)
+            base = int(np.argmax(khop_query(model, sub)))
             for t in (2.0, 20.0, 200.0):
                 assert int(np.argmax(khop_query(model, sub, t))) == base
 

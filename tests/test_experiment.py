@@ -53,6 +53,11 @@ class TestConfig:
             ExperimentConfig(shadow_fraction=0.0)
         with pytest.raises(ValueError, match="pairwise_ops"):
             ExperimentConfig(pairwise="product")
+        for bad in ({"epochs": 0}, {"attack_epochs": 0}, {"hidden": 0},
+                    {"learning_rate": 0.0}, {"learning_rate": -1.0},
+                    {"dropout": -0.1}, {"dropout": 1.0}):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                ExperimentConfig(**bad)
 
     def test_hop_filter(self):
         cfg = ExperimentConfig(attacks=("a0", "a1", "a2", "b0"), hops=(1, 2))
@@ -164,7 +169,8 @@ class TestTransfer:
         # The shadow dataset is loaded on its own; being equal, it shares the split.
         transfer = run_experiment(cfg, keep_artifacts=True, shadow=cfg)
         assert transfer.artifacts.bundle.split_ids() == plain.artifacts.bundle.split_ids()
-        assert transfer.artifacts.attack_train.pairs == plain.artifacts.attack_train.pairs
+        assert np.array_equal(transfer.artifacts.attack_train.pairs,
+                              plain.artifacts.attack_train.pairs)
         assert transfer.target_accuracies == plain.target_accuracies
         assert transfer.shadow_accuracies == plain.shadow_accuracies
 
@@ -285,6 +291,13 @@ class TestCli:
         lines = (out / "features_a1.csv").read_text().strip().split("\n")
         assert lines[0].split(",") == [f"posterior_hadamard_{c}" for c in range(3)]
         assert all(len(line.split(",")) == 3 for line in lines[1:])
+
+    @pytest.mark.parametrize("flag", ["--analyses", "--export-features"])
+    def test_file_flags_need_out(self, tmp_path, flag):
+        # the dataset cannot load, so the exit shows the check runs first
+        missing = str(tmp_path / "no-such-dataset")
+        with pytest.raises(SystemExit, match="--out"):
+            cli_main(["attack", "--dataset", missing, "--runs", "1", flag])
 
     def test_train_verb(self, tmp_path, capsys):
         out = tmp_path / "model"

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from linklab.attacks import assemble_features, spec_for
+from linklab.attacks import attack_dataset_inputs, spec_for
 from linklab.data import generate_planted_partition, make_splits
 from linklab.features import (
     PosteriorTable,
@@ -95,8 +95,8 @@ class TestGraphBlock:
 
     def test_baseline_context_allowed(self):
         g = make_graph(3, [(0, 2), (1, 2)])
-        feats = assemble_features(spec_for("b1"), None, g, (0, 1))
-        np.testing.assert_array_equal(feats["graph"], [1.0, 1.0, 1.0])
+        feats = attack_dataset_inputs(spec_for("b1"), None, g, [(0, 1)])
+        np.testing.assert_array_equal(feats["graph"], [[1.0, 1.0, 1.0]])
 
     def test_matches_set_algebra_oracle(self):
         rng = np.random.default_rng(9)
@@ -201,7 +201,7 @@ def trained():
 def posterior_feature(model, graph, u, v, attack_id):
     """The posterior block of one pair as the attack assembles it, from a fresh table."""
     table = PosteriorTable(model, graph)
-    return assemble_features(spec_for(attack_id), table, graph, (u, v))["posterior"]
+    return attack_dataset_inputs(spec_for(attack_id), table, graph, [(u, v)])["posterior"][0]
 
 
 class TestPosteriorBlock:

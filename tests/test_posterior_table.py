@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linklab.features as features_module
-from linklab.attacks import ALL_ATTACK_IDS, assemble_features, attack_dataset_inputs, spec_for
+from linklab.attacks import ALL_ATTACK_IDS, attack_dataset_inputs, spec_for
 from linklab.data import build_pair_dataset, generate_planted_partition
 from linklab.defenses import DefenseConfig, label_only_feature, query_temperature
 from linklab.experiment import ExperimentConfig, SyntheticSpec, run_experiment
@@ -81,9 +81,10 @@ class TestOracle:
                 for c in (u, v):
                     expected = reference_posterior(model, graph, c, hop, (u, v), table.temperature)
                     assert np.array_equal(table.query(c, hop, (u, v)), expected)
-                got = assemble_features(spec_for(attack_id), table, graph, (u, v),
+            got = attack_dataset_inputs(spec_for(attack_id), table, graph, pairs,
                                         defense=defense)["posterior"]
-                assert np.array_equal(got, reference_feature(model, graph, u, v, hop, defense))
+            expected = [reference_feature(model, graph, u, v, hop, defense) for u, v in pairs]
+            assert np.array_equal(got, np.array(expected))
 
     def test_stored_posteriors_are_read_only(self, graph, models):
         table = PosteriorTable(models["sage"], graph)
@@ -95,7 +96,7 @@ class TestOracle:
         table = PosteriorTable(models["sage"], graph)
         soft = DEFENSES["soft_posterior"]
         with pytest.raises(ValueError, match="temperature"):
-            assemble_features(spec_for("a1"), table, graph, (0, 1), defense=soft)
+            attack_dataset_inputs(spec_for("a1"), table, graph, [(0, 1)], defense=soft)
         with pytest.raises(ValueError):
             PosteriorTable(models["sage"], graph, 0.0)
 
@@ -114,7 +115,7 @@ class TestSymmetryProperty:
 
         def feature(pair):
             table = PosteriorTable(models[arch], graph, query_temperature(defense))
-            return assemble_features(spec, table, graph, pair, defense=defense)["posterior"]
+            return attack_dataset_inputs(spec, table, graph, [pair], defense=defense)["posterior"]
 
         assert np.array_equal(feature((u, v)), feature((v, u)))
 
@@ -152,7 +153,7 @@ class TestThreatModel:
         expected = set()
         for side, dataset in (("shadow", art.attack_train), ("target", art.attack_test)):
             g = dataset.graph
-            for u, v in dataset.node_pairs:
+            for u, v in dataset.pairs.tolist():
                 for hop in (0, 1, 2):
                     excl = normalize_edge(u, v) if hop > 0 and g.has_edge(u, v) else None
                     expected.update((side, c, hop, excl) for c in (u, v))
@@ -164,5 +165,6 @@ class TestThreatModel:
         shadow_pairs = build_pair_dataset(graph, seed=1, provenance="shadow_train")
         other = generate_planted_partition(40, 3, 0.2, 0.02, 8, 1.0, seed=4)
         target_table = PosteriorTable(models["sage"], other)
-        with pytest.raises(ValueError, match=r"40 nodes.*shadow_train pairs \(72 nodes"):
-            attack_dataset_inputs(spec_for("a1"), target_table, shadow_pairs)
+        with pytest.raises(ValueError, match=r"table graph \(40 nodes.*graph of the pairs \(72 nodes"):
+            attack_dataset_inputs(spec_for("a1"), target_table, shadow_pairs.graph,
+                                  shadow_pairs.pairs)
