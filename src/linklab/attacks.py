@@ -201,7 +201,7 @@ def attack_dataset_inputs(spec: AttackSpec, table: PosteriorTable | None, graph:
     if spec.uses_node_attrs:
         out["node_attr"] = node_attr_block(graph.features[us], graph.features[vs])
     if spec.uses_graph_feats:
-        out["graph"] = np.array([graph_block(graph, u, v) for u, v in pairs.tolist()])
+        out["graph"] = graph_block(graph, pairs)
     return out
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, adjacency_matrix, induced_subgraph, normalize_edge
+from .graph import Graph, adjacency_matrix, induced_subgraph
 from .rng import stream
 
 @dataclass(frozen=True)
@@ -103,8 +103,8 @@ class PairDataset:
 
 def build_pair_dataset(g: Graph, seed: int, provenance: str = "unspecified") -> PairDataset:
     """All edges as positives plus an equal number of sampled non-edges."""
-    positives = sorted(e for e in g.edges if e[0] != e[1])
-    if not positives:
+    positives = g.edges[g.edges[:, 0] != g.edges[:, 1]]
+    if not len(positives):
         raise ValueError("graph has no edges to use as positive pairs")
     n = g.num_nodes
     total_pairs = n * (n - 1) // 2
@@ -124,22 +124,16 @@ def build_pair_dataset(g: Graph, seed: int, provenance: str = "unspecified") -> 
         chosen = rng.choice(len(candidates), size=needed, replace=False)
         negatives = candidates[np.sort(chosen)]
     else:
-        edge_set = set(positives)
-        seen: set[tuple[int, int]] = set()
+        seen: set[int] = set()
         negatives = []
         while len(negatives) < needed:
-            u = int(rng.integers(0, n))
-            v = int(rng.integers(0, n))
-            if u == v:
+            u, v = sorted((int(rng.integers(0, n)), int(rng.integers(0, n))))
+            if u == v or u * n + v in seen or g.has_edge(u, v):
                 continue
-            e = normalize_edge(u, v)
-            if e in edge_set or e in seen:
-                continue
-            seen.add(e)
-            negatives.append(e)
+            seen.add(u * n + v)
+            negatives.append((u, v))
 
-    pairs = np.concatenate([np.array(positives, dtype=np.int64),
-                            np.array(negatives, dtype=np.int64)])
+    pairs = np.concatenate([positives, np.array(negatives, dtype=np.int64)])
     labels = np.repeat(np.array([1, 0], dtype=np.int64), needed)
     order = stream(seed, "pair-shuffle").permutation(len(pairs))
     return PairDataset(pairs=pairs[order], labels=labels[order], graph=g, provenance=provenance)
@@ -187,9 +181,7 @@ def generate_planted_partition(n: int, communities: int, p_in: float, p_out: flo
     probs = np.where(same, p_in, p_out)
     draws = stream(seed, "edges").random(len(iu))
     chosen = draws < probs
-    edges = frozenset(
-        normalize_edge(int(u), int(v)) for u, v in zip(iu[chosen], ju[chosen])
-    )
+    edges = np.stack([iu[chosen], ju[chosen]], axis=1)
 
     centroids = stream(seed, "centroids").normal(0.0, 1.0, size=(communities, feature_dim))
     features = centroids[labels] + noise * stream(seed, "feature-noise").normal(

@@ -109,9 +109,17 @@ class ExperimentConfig:
             raise ValueError("runs must be at least 1")
         if self.target_arch not in ARCHITECTURES or self.shadow_arch not in ARCHITECTURES:
             raise ValueError("unknown GNN architecture")
+        if not self.attacks:
+            raise ValueError("attacks must name at least one attack id")
         for attack_id in self.attacks:
             if attack_id not in ATTACK_SPECS:
                 raise ValueError(f"unknown attack id {attack_id!r}")
+        if self.hops is not None:
+            for hop in self.hops:
+                if hop not in (0, 1, 2, None):
+                    raise ValueError(f"hops must be 0, 1, 2 or None, got {hop!r}")
+            if not self.active_attacks():
+                raise ValueError(f"hops {self.hops} leave none of the attacks {self.attacks}")
         if not (0.0 < self.shadow_fraction <= 1.0):
             raise ValueError("shadow_fraction must be in (0, 1]")
         if self.pairwise not in ("all",) + PAIRWISE_OP_NAMES:
@@ -192,8 +200,6 @@ def _single_run(cfg: ExperimentConfig, graph: Graph, shadow_cfg: ExperimentConfi
     """
     run_seed = cfg.seed + run_idx
     attacks = cfg.active_attacks()
-    if not attacks:
-        raise ValueError("no attacks left after hop filtering")
 
     with _stage("split"):
         bundle = make_splits(graph, derive_seed(run_seed, "split"), cfg.shadow_fraction)
@@ -292,7 +298,7 @@ def _single_run(cfg: ExperimentConfig, graph: Graph, shadow_cfg: ExperimentConfi
 def _graphs_equal(a: Graph, b: Graph) -> bool:
     return (
         a.num_nodes == b.num_nodes
-        and a.edges == b.edges
+        and np.array_equal(a.edges, b.edges)
         and np.array_equal(a.features, b.features)
         and np.array_equal(a.labels, b.labels)
     )
@@ -375,18 +381,14 @@ def run_defense_sweep(cfg: ExperimentConfig, epsilons) -> SweepReport:
 
 def pair_metric_values(graph: Graph, pairs) -> dict[str, np.ndarray]:
     """The four robustness metrics for each pair, pair edge excluded."""
-    sims, cns, pas, jacs = [], [], [], []
-    for u, v in pairs:
-        sims.append(cosine_similarity(graph.features[u], graph.features[v]))
-        cn, jac, pa = proximity_counts(graph, u, v)
-        cns.append(float(cn))
-        jacs.append(jac)
-        pas.append(float(pa))
+    cns, jacs, pas = proximity_counts(graph, pairs)
+    sims = [cosine_similarity(graph.features[u], graph.features[v])
+            for u, v in np.asarray(pairs).tolist()]
     return {
         "node_similarity": np.array(sims),
-        "common_neighbors": np.array(cns),
-        "preferential_attachment": np.array(pas),
-        "jaccard": np.array(jacs),
+        "common_neighbors": cns.astype(np.float64),
+        "preferential_attachment": pas.astype(np.float64),
+        "jaccard": jacs,
     }
 
 
@@ -461,7 +463,7 @@ def write_analyses(report: RunReport, outdir: str, groups: int = 10) -> None:
     os.makedirs(outdir, exist_ok=True)
     graph = art.attack_test.graph
     labels = art.attack_test.labels
-    metric_values = pair_metric_values(graph, art.attack_test.pairs.tolist())
+    metric_values = pair_metric_values(graph, art.attack_test.pairs)
     pos_mask = labels == 1
     neg_mask = labels == 0
 
@@ -578,13 +580,11 @@ def parse_config_file(path: str) -> dict[str, str]:
 
 
 def _parse_hops(text: str) -> tuple[int | None, ...]:
-    out: list[int | None] = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        out.append(None if part == "none" else int(part))
-    return tuple(out)
+    parts = [part.strip() for part in text.split(",") if part.strip()]
+    try:
+        return tuple(None if part == "none" else int(part) for part in parts)
+    except ValueError:
+        raise ValueError(f"hops must list 0, 1, 2 or none, got {text!r}") from None
 
 
 def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:

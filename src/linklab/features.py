@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .gnn import TrainedGnn, khop_query
-from .graph import Edge, Graph, khop_subgraph, neighbors, normalize_edge
+from .graph import Edge, Graph, khop_subgraph, normalize_edge, row_entries
 
 PAIRWISE_OP_NAMES = ("hadamard", "average", "weighted_l1", "weighted_l2")
 GRAPH_FEATURE_NAMES = ("common_neighbors", "jaccard", "preferential_attachment")
@@ -101,21 +101,30 @@ def node_attr_block(features_u: np.ndarray, features_v: np.ndarray) -> np.ndarra
     return a * b
 
 
-def proximity_counts(graph: Graph, u: int, v: int) -> tuple[int, float, int]:
-    """Common neighbors, Jaccard, preferential attachment with the pair's
-    own edge excluded from both neighborhoods."""
-    nu = set(neighbors(graph, u)) - {u, v}
-    nv = set(neighbors(graph, v)) - {u, v}
-    inter = len(nu & nv)
-    union = len(nu | nv)
-    jaccard = inter / union if union else 0.0
-    return inter, jaccard, len(nu) * len(nv)
+def proximity_counts(graph: Graph, pairs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Common neighbors, Jaccard and preferential attachment of every pair
+    in the ``(m, 2)`` array ``pairs``, read off the CSR rows. Both nodes of
+    a pair are left out of both neighborhoods, so the pair's own edge and
+    a self-loop count for nothing."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    m, n = len(pairs), graph.num_nodes
+    sizes, keys = [], []
+    for side in (0, 1):
+        owner, nbrs = row_entries(graph, pairs[:, side])
+        kept = (nbrs != pairs[owner, 0]) & (nbrs != pairs[owner, 1])
+        sizes.append(np.bincount(owner[kept], minlength=m))
+        keys.append(owner[kept] * n + nbrs[kept])
+    # each neighborhood holds a node once, so a key seen twice is shared
+    keys = np.sort(np.concatenate(keys))
+    common = np.bincount(keys[1:][keys[1:] == keys[:-1]] // n, minlength=m)
+    union = sizes[0] + sizes[1] - common
+    jaccard = np.divide(common, union, out=np.zeros(m), where=union > 0)
+    return common, jaccard, sizes[0] * sizes[1]
 
 
-def graph_block(graph: Graph, u: int, v: int) -> np.ndarray:
-    """[common neighbors, Jaccard, preferential attachment] for the pair."""
-    cn, jac, pa = proximity_counts(graph, u, v)
-    return np.array([float(cn), jac, float(pa)], dtype=np.float64)
+def graph_block(graph: Graph, pairs) -> np.ndarray:
+    """[common neighbors, Jaccard, preferential attachment], one row per pair."""
+    return np.column_stack(proximity_counts(graph, pairs))
 
 
 def entropy(p: np.ndarray) -> float:

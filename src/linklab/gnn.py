@@ -1,14 +1,13 @@
 """Inductive GNN layer kernels, two-layer models, training, and k-hop queries.
 
-All four kernels read the neighborhood off the given (sub)graph after a
-self-loop has been added to every node, so a 0-hop query (one node plus
-its self-loop) flows through the same code path as whole-graph training.
+All four kernels read the neighborhood off a ``MessageStructure``, the one
+place that adds a self-loop to every node, so a 0-hop query (one node and
+no edges) flows through the same code path as whole-graph training.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -28,13 +27,14 @@ LEAKY_SLOPE = 0.2
 class MessageStructure:
     """Precomputed aggregation operators for one fixed node set.
 
-    Built from an edge set with a self-loop forced onto every node:
+    Built from an ``(E, 2)`` array-like of node pairs, in either
+    orientation, with a self-loop forced onto every node:
     ``mean_mat`` row-normalizes over the neighborhood, ``sum_mat`` sums it,
     and ``mask`` marks admissible attention cells.
     """
 
     def __init__(self, num_nodes: int, edges):
-        pairs = np.fromiter(chain.from_iterable(edges), dtype=np.int64).reshape(-1, 2)
+        pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if pairs.size and (pairs.min() < 0 or pairs.max() >= num_nodes):
             u, v = pairs[((pairs < 0) | (pairs >= num_nodes)).any(axis=1)][0]
             raise ValueError(f"edge ({u}, {v}) outside node range")
@@ -68,14 +68,6 @@ class MessageStructure:
         if hit is None or hit[0] is not h.data:
             hit = self._fixed[op] = (h.data, nn.matmul(mat, h))
         return hit[1]
-
-    @classmethod
-    def from_graph(cls, g: Graph) -> "MessageStructure":
-        return cls(g.num_nodes, g.edges)
-
-    @classmethod
-    def from_subgraph(cls, sub: Subgraph) -> "MessageStructure":
-        return cls(sub.num_nodes, sub.local_edges())
 
 
 @dataclass
@@ -132,7 +124,7 @@ def layer_forward(layer: GnnLayer, h: Tensor, structure, training: bool = False,
     aggregated, as in GCN's ``A(HW)``.
     """
     if isinstance(structure, Subgraph):
-        structure = MessageStructure.from_subgraph(structure)
+        structure = MessageStructure(structure.num_nodes, structure.edges)
     if h.data.ndim != 2 or h.data.shape[0] != structure.num_nodes:
         raise ValueError(
             f"feature rows {h.data.shape} do not match {structure.num_nodes} nodes"
@@ -235,7 +227,7 @@ def train_gnn(train_graph: Graph, arch: str, seed: int, *, num_classes: int | No
     init_rng = stream(seed, "init")
     drop_rng = stream(seed, "dropout")
     model = init_gnn(arch, train_graph.feature_dim, classes, init_rng, hidden=hidden)
-    structure = MessageStructure.from_graph(train_graph)
+    structure = MessageStructure(train_graph.num_nodes, train_graph.edges)
     h0 = Tensor(train_graph.features)
     optimizer = nn.Adam(model.parameters(), learning_rate=learning_rate)
     for _ in range(epochs):
@@ -253,7 +245,7 @@ def khop_query(model: TrainedGnn, sub: Subgraph, temperature: float = 1.0) -> np
         raise ValueError(
             f"subgraph feature dim {sub.feature_view.shape[1]} != model in_dim {model.in_dim}"
         )
-    structure = MessageStructure.from_subgraph(sub)
+    structure = MessageStructure(sub.num_nodes, sub.edges)
     logits = gnn_forward(model, Tensor(sub.feature_view), structure, training=False)
     post = nn.softmax_with_temperature(logits, temperature).data[sub.center_index]
     if abs(post.sum() - 1.0) > 1e-9 or post.min() < 0.0:
@@ -263,7 +255,7 @@ def khop_query(model: TrainedGnn, sub: Subgraph, temperature: float = 1.0) -> np
 
 def evaluate_accuracy(model: TrainedGnn, g: Graph) -> float:
     """Whole-graph classification accuracy (dropout off, self-loops added)."""
-    structure = MessageStructure.from_graph(g)
+    structure = MessageStructure(g.num_nodes, g.edges)
     logits = gnn_forward(model, Tensor(g.features), structure, training=False)
     predictions = np.argmax(logits.data, axis=1)
     return float(np.mean(predictions == g.labels))

@@ -1,8 +1,12 @@
 """Undirected in-memory graphs, neighborhood queries, and dataset loading.
 
-Node ids are dense integers in ``[0, num_nodes)``. Edges are unordered
-pairs stored as ``(min, max)`` tuples; a pair ``(v, v)`` is an explicit
-self-loop. Graphs are immutable after construction and safe to share.
+Node ids are dense integers in ``[0, num_nodes)``. A graph keeps its edges
+in one read-only ``(E, 2)`` int64 array: each row is an unordered pair
+``(u, v)`` with ``u <= v``, the rows are sorted and unique, and ``(v, v)``
+is an explicit self-loop. From it the graph builds CSR rows once:
+``indices[indptr[v]:indptr[v + 1]]`` are the neighbors of ``v`` in
+ascending order, ``v`` itself only on a self-loop. Graphs are immutable
+after construction and safe to share.
 """
 
 from __future__ import annotations
@@ -21,13 +25,18 @@ def normalize_edge(u: int, v: int) -> Edge:
 
 @dataclass(frozen=True)
 class Graph:
-    """A simple undirected graph with node attributes and class labels."""
+    """A simple undirected graph with node attributes and class labels.
+
+    ``edges`` may be given as any ``(E, 2)`` array-like of node pairs, in
+    either orientation and with repeats; it is stored normalized.
+    """
 
     num_nodes: int
-    edges: frozenset[Edge]
+    edges: np.ndarray
     features: np.ndarray
     labels: np.ndarray
-    _adj: dict[int, frozenset[int]] = field(repr=False, compare=False, default=None)
+    indptr: np.ndarray = field(init=False, repr=False, compare=False)
+    indices: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         features = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64))
@@ -46,20 +55,27 @@ class Graph:
             )
         if labels.size and labels.min() < 0:
             raise ValueError("labels must be non-negative class ids")
-        adj: dict[int, set[int]] = {v: set() for v in range(self.num_nodes)}
-        for u, v in self.edges:
-            if not (0 <= u < self.num_nodes and 0 <= v < self.num_nodes):
-                raise ValueError(f"edge ({u}, {v}) references an invalid node id")
-            if u > v:
-                raise ValueError(f"edge ({u}, {v}) is not normalized")
-            adj[u].add(v)
-            adj[v].add(u)
-        features.setflags(write=False)
-        labels.setflags(write=False)
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "edges", frozenset(self.edges))
-        object.__setattr__(self, "_adj", {v: frozenset(s) for v, s in adj.items()})
+        n = self.num_nodes
+        pairs = np.asarray(self.edges, dtype=np.int64)
+        pairs = pairs.reshape(0, 2) if pairs.size == 0 else pairs
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError(f"edges must be an (E, 2) array of node pairs, got shape {pairs.shape}")
+        outside = ((pairs < 0) | (pairs >= n)).any(axis=1)
+        if outside.any():
+            u, v = pairs[outside][0]
+            raise ValueError(f"edge ({u}, {v}) references an invalid node id")
+        u, v = np.divmod(np.unique(pairs.min(axis=1) * n + pairs.max(axis=1)), n)
+        # CSR: both directions of every edge, a self-loop once
+        loop = u == v
+        src = np.concatenate([u, v[~loop]])
+        dst = np.concatenate([v, u[~loop]])
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        for name, value in (("features", features), ("labels", labels),
+                            ("edges", np.stack([u, v], axis=1)), ("indptr", indptr),
+                            ("indices", dst[np.argsort(src * n + dst)])):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def feature_dim(self) -> int:
@@ -74,32 +90,48 @@ class Graph:
         return len(self.edges)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return normalize_edge(u, v) in self.edges
+        if not (0 <= u < self.num_nodes and 0 <= v < self.num_nodes):
+            return False
+        row = self.indices[self.indptr[u]:self.indptr[u + 1]]
+        i = np.searchsorted(row, v)
+        return bool(i < len(row) and row[i] == v)
 
     def _check_node(self, v: int) -> None:
         if not (0 <= v < self.num_nodes):
             raise ValueError(f"node id {v} out of range [0, {self.num_nodes})")
 
 
-def neighbors(g: Graph, v: int) -> frozenset[int]:
-    """All nodes sharing an edge with ``v``; includes ``v`` only on a self-loop."""
+def neighbors(g: Graph, v: int) -> np.ndarray:
+    """Read-only ascending ids of all nodes sharing an edge with ``v``;
+    includes ``v`` only on a self-loop."""
     g._check_node(v)
-    return g._adj[v]
+    return g.indices[g.indptr[v]:g.indptr[v + 1]]
+
+
+def row_entries(g: Graph, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every CSR entry of the nodes ``rows``, in row order, as two arrays:
+    the position in ``rows`` it belongs to, and the neighbor."""
+    starts = g.indptr[rows]
+    counts = g.indptr[rows + 1] - starts
+    owner = np.repeat(np.arange(len(rows)), counts)
+    shift = starts - (np.cumsum(counts) - counts)
+    return owner, g.indices[np.arange(len(owner)) + shift[owner]]
 
 
 @dataclass(frozen=True)
 class Subgraph:
     """The induced subgraph an inference query presents to a model.
 
-    ``nodes`` are parent node ids in ascending order; ``edges`` are stored in
-    parent ids and carry a self-loop on every included node. ``feature_view``
-    holds the parent feature rows in ``nodes`` order.
+    ``nodes`` are parent node ids in ascending order; ``edges`` are the
+    sorted ``(i, j)`` pairs, ``i < j``, of local positions within ``nodes``
+    and carry no self-loops. ``feature_view`` holds the parent feature rows
+    in ``nodes`` order.
     """
 
     center: int
     hop: int
     nodes: tuple[int, ...]
-    edges: frozenset[Edge]
+    edges: tuple[Edge, ...]
     feature_view: np.ndarray
 
     def __post_init__(self):
@@ -115,49 +147,37 @@ class Subgraph:
     def center_index(self) -> int:
         return self.nodes.index(self.center)
 
-    def local_edges(self) -> frozenset[Edge]:
-        """Edges re-indexed into local positions within ``nodes``."""
-        index = {v: i for i, v in enumerate(self.nodes)}
-        return frozenset(normalize_edge(index[u], index[v]) for u, v in self.edges)
-
 
 def khop_subgraph(g: Graph, v: int, k: int, exclude: Edge | None = None) -> Subgraph:
-    """BFS-induced subgraph of depth ``k`` around ``v`` with ``exclude`` removed.
-
-    Every included node carries a self-loop, matching the aggregation
-    convention of the model layers; ``k = 0`` therefore yields the single
-    node with only its self-loop.
-    """
+    """BFS-induced subgraph of depth ``k`` around ``v`` with ``exclude`` removed;
+    ``k = 0`` yields the single node."""
     g._check_node(v)
     if k not in (0, 1, 2):
         raise ValueError(f"hop count must be 0, 1, or 2, got {k}")
-    banned = normalize_edge(*exclude) if exclude is not None else None
+    skip = {}
+    if exclude is not None:
+        a, b = exclude
+        skip = {a: b, b: a}
+    rows: dict[int, list[int]] = {}
 
-    reached = {v}
-    frontier = {v}
+    def row(u: int) -> list[int]:
+        """The CSR row of ``u`` as a list, without the excluded edge."""
+        if u not in rows:
+            rows[u] = g.indices[g.indptr[u]:g.indptr[u + 1]].tolist()
+            if u in skip and skip[u] in rows[u]:
+                rows[u].remove(skip[u])
+        return rows[u]
+
+    reached = frontier = {v}
     for _ in range(k):
-        nxt = set()
-        for u in frontier:
-            for w in g._adj[u]:
-                if banned is not None and normalize_edge(u, w) == banned:
-                    continue
-                if w not in reached:
-                    nxt.add(w)
-        reached |= nxt
-        frontier = nxt
-    nodes = tuple(sorted(reached))
-    node_set = set(nodes)
-    edges = set()
-    if k > 0:
-        for a in nodes:
-            for b in g._adj[a]:
-                if b in node_set:
-                    e = normalize_edge(a, b)
-                    if banned is None or e != banned:
-                        edges.add(e)
-    edges.update((u, u) for u in nodes)
-    view = g.features[list(nodes)]
-    return Subgraph(center=v, hop=k, nodes=nodes, edges=frozenset(edges), feature_view=view)
+        frontier = {w for u in frontier for w in row(u)} - reached
+        reached = reached | frontier
+    nodes = sorted(reached)
+    local = {u: i for i, u in enumerate(nodes)}
+    edges = tuple((i, local[w]) for i, u in enumerate(nodes) for w in row(u)
+                  if w > u and w in local) if k else ()
+    return Subgraph(center=v, hop=k, nodes=tuple(nodes), edges=edges,
+                    feature_view=g.features[nodes])
 
 
 def induced_subgraph(g: Graph, node_ids) -> tuple[Graph, tuple[int, ...]]:
@@ -165,30 +185,28 @@ def induced_subgraph(g: Graph, node_ids) -> tuple[Graph, tuple[int, ...]]:
 
     Returns the new graph plus the tuple mapping local id -> parent id.
     """
-    ids = tuple(sorted(set(int(v) for v in node_ids)))
-    for v in ids:
-        g._check_node(v)
-    index = {v: i for i, v in enumerate(ids)}
-    kept = frozenset(
-        normalize_edge(index[u], index[v])
-        for u, v in g.edges
-        if u in index and v in index
-    )
+    ids = np.unique(np.asarray(node_ids, dtype=np.int64))
+    bad = ids[(ids < 0) | (ids >= g.num_nodes)]
+    if bad.size:
+        g._check_node(int(bad[0]))
+    local = np.full(g.num_nodes, -1, dtype=np.int64)
+    local[ids] = np.arange(len(ids))
+    mapped = local[g.edges]
     sub = Graph(
         num_nodes=len(ids),
-        edges=kept,
-        features=g.features[list(ids)],
-        labels=g.labels[list(ids)],
+        edges=mapped[(mapped >= 0).all(axis=1)],
+        features=g.features[ids],
+        labels=g.labels[ids],
     )
-    return sub, ids
+    return sub, tuple(ids.tolist())
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
     """Dense symmetric boolean adjacency; self-loops land on the diagonal."""
     adj = np.zeros((g.num_nodes, g.num_nodes), dtype=bool)
-    for u, v in g.edges:
-        adj[u, v] = True
-        adj[v, u] = True
+    u, v = g.edges.T
+    adj[u, v] = True
+    adj[v, u] = True
     return adj
 
 
@@ -198,10 +216,8 @@ def graph_from_adjacency(adj: np.ndarray, features: np.ndarray, labels: np.ndarr
         raise ValueError("adjacency must be square")
     if not np.array_equal(adj, adj.T):
         raise ValueError("adjacency must be symmetric")
-    n = adj.shape[0]
-    rows, cols = np.nonzero(adj)
-    edges = frozenset(normalize_edge(int(u), int(v)) for u, v in zip(rows, cols))
-    return Graph(num_nodes=n, edges=edges, features=features, labels=labels)
+    return Graph(num_nodes=adj.shape[0], edges=np.argwhere(np.triu(adj)),
+                 features=features, labels=labels)
 
 
 @dataclass(frozen=True)
@@ -234,45 +250,31 @@ def load_dataset(directory: str) -> LoadedDataset:
         )
 
     edges_path = os.path.join(directory, "edges.tsv")
-    if os.path.getsize(edges_path) == 0:
-        raw = np.zeros((0, 2))
-    else:
-        raw = np.loadtxt(edges_path, ndmin=2)
+    raw = np.loadtxt(edges_path, ndmin=2) if os.path.getsize(edges_path) else np.zeros((0, 2))
     pairs = raw.astype(np.int64)
     if raw.size and not np.array_equal(pairs, raw):
         raise ValueError("edges.tsv must contain integers")
     if raw.size and pairs.shape[1] != 2:
         raise ValueError("edges.tsv must have exactly two columns")
 
+    source_ids = tuple(range(n))
     if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
-        ext = np.unique(pairs)
+        ext, pairs = np.unique(pairs, return_inverse=True)
         if len(ext) > n:
             raise ValueError(
                 f"edges.tsv references {len(ext)} distinct nodes but features.csv has {n} rows"
             )
-        remap = {int(e): i for i, e in enumerate(ext)}
-        source_ids = tuple(int(e) for e in ext) + tuple(range(len(ext), n))
-        pairs = np.array([[remap[int(u)], remap[int(v)]] for u, v in pairs], dtype=np.int64)
-    else:
-        source_ids = tuple(range(n))
+        source_ids = tuple(ext.tolist()) + source_ids[len(ext):]
 
-    edges = frozenset(normalize_edge(int(u), int(v)) for u, v in pairs)
-
-    label_values = tuple(int(c) for c in np.unique(labels)) if labels.size else ()
-    if label_values and label_values != tuple(range(len(label_values))):
-        lut = {c: i for i, c in enumerate(label_values)}
-        labels = np.array([lut[int(c)] for c in labels], dtype=np.int64)
-
-    graph = Graph(num_nodes=n, edges=edges, features=features, labels=labels)
-    return LoadedDataset(graph=graph, source_ids=source_ids, label_values=label_values)
+    values, labels = np.unique(labels, return_inverse=True)
+    graph = Graph(num_nodes=n, edges=pairs.reshape(-1, 2), features=features, labels=labels)
+    return LoadedDataset(graph=graph, source_ids=source_ids, label_values=tuple(values.tolist()))
 
 
 def save_dataset(g: Graph, directory: str) -> None:
     """Write a graph in the loadable dataset layout."""
     os.makedirs(directory, exist_ok=True)
-    with open(os.path.join(directory, "edges.tsv"), "w") as fh:
-        for u, v in sorted(g.edges):
-            fh.write(f"{u}\t{v}\n")
+    np.savetxt(os.path.join(directory, "edges.tsv"), g.edges, fmt="%d", delimiter="\t")
     with open(os.path.join(directory, "features.csv"), "w") as fh:
         for row in g.features:
             fh.write(",".join(repr(float(x)) for x in row) + "\n")

@@ -20,7 +20,7 @@ from linklab.graph import Graph, normalize_edge
 def make_graph(n, edges, d=4, labels=None):
     rng = np.random.default_rng(1)
     labels = np.zeros(n, dtype=int) if labels is None else labels
-    return Graph(num_nodes=n, edges=frozenset(normalize_edge(*e) for e in edges),
+    return Graph(num_nodes=n, edges=list(edges),
                  features=rng.normal(size=(n, d)), labels=labels)
 
 
@@ -71,7 +71,7 @@ class TestMakeSplits:
                 # independent induced-subgraph oracle over the source edge set
                 oracle_edges = {
                     (a, b) for a, b in itertools.combinations(sorted(ids), 2)
-                    if normalize_edge(a, b) in g.edges
+                    if g.has_edge(a, b)
                 }
                 assert graph.num_edges == len(oracle_edges) == m * (m - 1) // 2
 
@@ -82,7 +82,7 @@ class TestMakeSplits:
         for u, v in bundle.target_train.edges:
             su, sv = bundle.target_train_ids[u], bundle.target_train_ids[v]
             assert su in ids and sv in ids
-            assert normalize_edge(su, sv) in g.edges
+            assert g.has_edge(su, sv)
 
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
@@ -125,9 +125,20 @@ class TestBuildPairDataset:
         for (u, v), label in zip(ds.pairs.tolist(), labels):
             assert u != v
             if label == 1:
-                assert normalize_edge(u, v) in g.edges
+                assert g.has_edge(u, v)
             else:
-                assert normalize_edge(u, v) not in g.edges
+                assert not g.has_edge(u, v)
+
+    def test_rejection_branch_negatives_are_non_edges(self):
+        # 700 nodes give more than 200,000 cells, so negatives are drawn by rejection
+        rng = np.random.default_rng(17)
+        edges = rng.integers(0, 700, size=(5000, 2))
+        g = make_graph(700, edges[edges[:, 0] != edges[:, 1]])
+        ds = build_pair_dataset(g, seed=2)
+        negatives = ds.pairs[ds.labels == 0].tolist()
+        assert len(negatives) == g.num_edges
+        assert not any(g.has_edge(u, v) for u, v in negatives)
+        assert len({normalize_edge(u, v) for u, v in negatives}) == len(negatives)
 
     def test_no_duplicate_pairs_in_either_orientation(self):
         g = make_graph(30, [(i, (i + 3) % 30) for i in range(30)])
@@ -145,7 +156,7 @@ class TestBuildPairDataset:
         g = make_graph(25, [(i, i + 1) for i in range(24)])
         ds = build_pair_dataset(g, seed=5)
         positives = {normalize_edge(u, v) for u, v in ds.pairs[ds.labels == 1].tolist()}
-        assert positives == set(g.edges)
+        assert positives == {tuple(e) for e in g.edges.tolist()}
 
     def test_provenance_enforcement(self):
         g = make_graph(30, [(i, i + 1) for i in range(29)])
@@ -196,5 +207,5 @@ class TestManifests:
         ids = read_split_manifest(str(tmp_path))
         assert ids == bundle.split_ids()
         rebuilt = bundle_from_manifest(g, str(tmp_path))
-        assert rebuilt.target_train.edges == bundle.target_train.edges
+        np.testing.assert_array_equal(rebuilt.target_train.edges, bundle.target_train.edges)
         np.testing.assert_array_equal(rebuilt.shadow_test.features, bundle.shadow_test.features)

@@ -168,7 +168,7 @@ class TestApplyDefendedQuery:
 
     def _pair(self, bundle):
         graph = bundle.target_train
-        u, v = sorted(graph.edges)[0]
+        u, v = graph.edges[0].tolist()
         return graph, u, v
 
     def _features(self, model, graph, u, v, defense):

@@ -4,6 +4,7 @@ import os
 
 import numpy as np
 import pytest
+from graph_oracles import adjacency_sets, proximity_oracle
 
 from linklab import cli
 from linklab.cli import main as cli_main
@@ -21,7 +22,7 @@ from linklab.experiment import (
     write_analyses,
     write_reports,
 )
-from linklab.features import cosine_similarity, proximity_counts
+from linklab.features import cosine_similarity
 from linklab.graph import save_dataset
 
 FAST = dict(runs=1, epochs=25, attack_epochs=25)
@@ -55,9 +56,14 @@ class TestConfig:
             ExperimentConfig(pairwise="product")
         for bad in ({"epochs": 0}, {"attack_epochs": 0}, {"hidden": 0},
                     {"learning_rate": 0.0}, {"learning_rate": -1.0},
-                    {"dropout": -0.1}, {"dropout": 1.0}):
+                    {"dropout": -0.1}, {"dropout": 1.0}, {"attacks": ()},
+                    {"hops": (1, 3)}, {"hops": (-1, 1)}, {"hops": ("1",)},
+                    {"hops": (0,), "attacks": ("a1", "b0")}, {"hops": ()}):
             with pytest.raises(ValueError, match=next(iter(bad))):
                 ExperimentConfig(**bad)
+        for key, value in (("attacks", ","), ("hops", "x"), ("hops", "1,3")):
+            with pytest.raises(ValueError, match=key):
+                config_from_mapping({key: value})
 
     def test_hop_filter(self):
         cfg = ExperimentConfig(attacks=("a0", "a1", "a2", "b0"), hops=(1, 2))
@@ -221,7 +227,7 @@ class TestPairMetricValues:
         values = pair_metric_values(g, pairs)
         for i, (u, v) in enumerate(pairs):
             assert values["node_similarity"][i] == cosine_similarity(g.features[u], g.features[v])
-            cn, jac, pa = proximity_counts(g, u, v)
+            cn, jac, pa = proximity_oracle(adjacency_sets(g), u, v)
             assert values["common_neighbors"][i] == cn
             assert values["jaccard"][i] == jac
             assert values["preferential_attachment"][i] == pa

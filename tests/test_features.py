@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from graph_oracles import adjacency_sets, proximity_oracle, raw_graphs
+from hypothesis import given, settings
 
 from linklab.attacks import attack_dataset_inputs, spec_for
 from linklab.data import generate_planted_partition, make_splits
@@ -22,12 +24,12 @@ from linklab.features import (
     transfer_block,
 )
 from linklab.gnn import train_gnn
-from linklab.graph import Graph, neighbors, normalize_edge
+from linklab.graph import Graph, neighbors
 
 
 def make_graph(n, edges, d=4):
     rng = np.random.default_rng(0)
-    return Graph(num_nodes=n, edges=frozenset(normalize_edge(*e) for e in edges),
+    return Graph(num_nodes=n, edges=list(edges),
                  features=rng.normal(size=(n, d)), labels=np.zeros(n, dtype=int))
 
 
@@ -87,11 +89,11 @@ class TestNodeAttrBlock:
 class TestGraphBlock:
     def test_shared_single_neighbor(self):
         g = make_graph(3, [(0, 2), (1, 2)])
-        np.testing.assert_array_equal(graph_block(g, 0, 1), [1.0, 1.0, 1.0])
+        np.testing.assert_array_equal(graph_block(g, [(0, 1)]), [[1.0, 1.0, 1.0]])
 
     def test_disjoint_neighborhoods(self):
         g = make_graph(7, [(0, 2), (0, 3), (1, 4), (1, 5), (1, 6)])
-        np.testing.assert_array_equal(graph_block(g, 0, 1), [0.0, 0.0, 6.0])
+        np.testing.assert_array_equal(graph_block(g, [(0, 1)]), [[0.0, 0.0, 6.0]])
 
     def test_baseline_context_allowed(self):
         g = make_graph(3, [(0, 2), (1, 2)])
@@ -100,13 +102,12 @@ class TestGraphBlock:
 
     def test_matches_set_algebra_oracle(self):
         rng = np.random.default_rng(9)
-        edges = {(u, v) for u in range(40) for v in range(u + 1, 40) if rng.random() < 0.15}
+        edges = [(u, v) for u in range(40) for v in range(u + 1, 40) if rng.random() < 0.15]
         g = make_graph(40, edges)
-        for _ in range(50):
-            u, v = rng.choice(40, size=2, replace=False)
-            got = graph_block(g, int(u), int(v))
-            nu = {w for w in neighbors(g, int(u)) if w not in (u, v)}
-            nv = {w for w in neighbors(g, int(v)) if w not in (u, v)}
+        pairs = np.array([rng.choice(40, size=2, replace=False) for _ in range(50)])
+        for (u, v), got in zip(pairs.tolist(), graph_block(g, pairs)):
+            nu = {w for w in neighbors(g, u).tolist() if w not in (u, v)}
+            nv = {w for w in neighbors(g, v).tolist() if w not in (u, v)}
             cn = len(nu & nv)
             union = len(nu | nv)
             expected = [float(cn), cn / union if union else 0.0, float(len(nu) * len(nv))]
@@ -116,22 +117,38 @@ class TestGraphBlock:
         base_edges = [(0, 2), (1, 2), (0, 3)]
         g_without = make_graph(5, base_edges)
         g_with = make_graph(5, base_edges + [(0, 1)])
-        b1 = graph_block(g_without, 0, 1)
-        b2 = graph_block(g_with, 0, 1)
+        b1 = graph_block(g_without, [(0, 1)])
+        b2 = graph_block(g_with, [(1, 0)])
         np.testing.assert_array_equal(b1, b2)
 
     def test_bounds(self):
         rng = np.random.default_rng(12)
-        edges = {(u, v) for u in range(25) for v in range(u + 1, 25) if rng.random() < 0.2}
+        edges = [(u, v) for u in range(25) for v in range(u + 1, 25) if rng.random() < 0.2]
         g = make_graph(25, edges)
-        for _ in range(40):
-            u, v = rng.choice(25, size=2, replace=False)
-            cn, jac, pa = proximity_counts(g, int(u), int(v))
-            nu = {w for w in neighbors(g, int(u)) if w not in (u, v)}
-            nv = {w for w in neighbors(g, int(v)) if w not in (u, v)}
+        pairs = np.array([rng.choice(25, size=2, replace=False) for _ in range(40)])
+        for (u, v), cn, jac, pa in zip(pairs.tolist(), *proximity_counts(g, pairs)):
+            nu = {w for w in neighbors(g, u).tolist() if w not in (u, v)}
+            nv = {w for w in neighbors(g, v).tolist() if w not in (u, v)}
             assert 0.0 <= jac <= 1.0
             assert cn <= min(len(nu), len(nv))
             assert pa == len(nu) * len(nv)
+
+    @settings(max_examples=80, deadline=None)
+    @given(raw_graphs())
+    def test_batched_counts_bitwise_equal_per_pair_oracle(self, drawn):
+        n, raw = drawn
+        g = make_graph(n, raw)
+        adj = adjacency_sets(g)
+        pairs = np.array([(u, v) for u in range(n) for v in range(n)], dtype=np.int64).reshape(-1, 2)
+        cn, jac, pa = proximity_counts(g, pairs)
+        assert (cn.dtype, jac.dtype, pa.dtype) == (np.int64, np.float64, np.int64)
+        expected = [proximity_oracle(adj, u, v) for u, v in pairs.tolist()]
+        assert cn.tolist() == [e[0] for e in expected]
+        assert jac.tobytes() == np.array([e[1] for e in expected], dtype=np.float64).tobytes()
+        assert pa.tolist() == [e[2] for e in expected]
+        block = graph_block(g, pairs)
+        assert block.dtype == np.float64
+        np.testing.assert_array_equal(block, np.array(expected, dtype=np.float64).reshape(-1, 3))
 
 
 class TestTransferBlock:
@@ -207,13 +224,13 @@ def posterior_feature(model, graph, u, v, attack_id):
 class TestPosteriorBlock:
     def test_block_length_four_times_classes(self, trained):
         graph, model = trained
-        u, v = sorted(graph.edges)[0]
+        u, v = graph.edges[0].tolist()
         block = posterior_feature(model, graph, u, v, "a1")
         assert block.shape == (4 * model.num_classes,)
 
     def test_swap_invariance(self, trained):
         graph, model = trained
-        u, v = sorted(graph.edges)[3]
+        u, v = graph.edges[3].tolist()
         fwd = posterior_feature(model, graph, u, v, "a1")
         rev = posterior_feature(model, graph, v, u, "a1")
         assert np.array_equal(fwd, rev)

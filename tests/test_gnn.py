@@ -27,7 +27,7 @@ DATA = Path(__file__).parent / "data"
 
 def tiny_graph(n, edges, feats, labels=None):
     labels = np.zeros(n, dtype=int) if labels is None else labels
-    return Graph(num_nodes=n, edges=frozenset(normalize_edge(*e) for e in edges),
+    return Graph(num_nodes=n, edges=list(edges),
                  features=np.asarray(feats, dtype=float), labels=labels)
 
 
@@ -133,8 +133,9 @@ class TestMessageStructure:
     def test_matches_per_edge_construction(self):
         rng = np.random.default_rng(12)
         n = 30
-        edges = {normalize_edge(int(u), int(v)) for u, v in rng.integers(0, n, size=(80, 2))}
-        structure = MessageStructure(n, frozenset(edges))
+        raw = rng.integers(0, n, size=(80, 2))
+        edges = {normalize_edge(int(u), int(v)) for u, v in raw}
+        structure = MessageStructure(n, raw)
         adj = loop_adjacency(n, edges)
         assert structure.mask.tobytes() == adj.tobytes()
         dense = adj.astype(np.float64)
@@ -396,10 +397,7 @@ class TestKhopQuery:
         perm = rng.permutation(graph.num_nodes)
         inv = np.empty_like(perm)
         inv[perm] = np.arange(graph.num_nodes)
-        remapped_edges = frozenset(
-            normalize_edge(int(inv[u]), int(inv[v])) for u, v in graph.edges
-        )
-        g2 = Graph(num_nodes=graph.num_nodes, edges=remapped_edges,
+        g2 = Graph(num_nodes=graph.num_nodes, edges=inv[graph.edges],
                    features=graph.features[perm], labels=graph.labels[perm])
         for v in (0, 5, 33):
             p1 = khop_query(model, khop_subgraph(graph, v, 2))

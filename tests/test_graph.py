@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from graph_oracles import adjacency_sets, induced_oracle, khop_oracle, raw_graphs
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linklab.graph import (
     Graph,
@@ -21,15 +24,15 @@ def make_graph(n, edges, d=3, labels=None):
     feats = rng.normal(size=(n, d))
     if labels is None:
         labels = np.zeros(n, dtype=int)
-    return Graph(num_nodes=n, edges=frozenset(normalize_edge(*e) for e in edges), features=feats, labels=labels)
+    return Graph(num_nodes=n, edges=list(edges), features=feats, labels=labels)
 
 
 def random_graph(rng, n, p):
-    edges = set()
+    edges = []
     for u in range(n):
         for v in range(u + 1, n):
             if rng.random() < p:
-                edges.add((u, v))
+                edges.append((u, v))
     return make_graph(n, edges)
 
 
@@ -57,11 +60,11 @@ class TestGraphConstruction:
 
     def test_rejects_feature_row_mismatch(self):
         with pytest.raises(ValueError):
-            Graph(num_nodes=3, edges=frozenset(), features=np.zeros((2, 4)), labels=np.zeros(3, dtype=int))
+            Graph(num_nodes=3, edges=[], features=np.zeros((2, 4)), labels=np.zeros(3, dtype=int))
 
     def test_rejects_label_length_mismatch(self):
         with pytest.raises(ValueError):
-            Graph(num_nodes=3, edges=frozenset(), features=np.zeros((3, 4)), labels=np.zeros(2, dtype=int))
+            Graph(num_nodes=3, edges=[], features=np.zeros((3, 4)), labels=np.zeros(2, dtype=int))
 
     def test_features_are_immutable(self):
         g = make_graph(3, [(0, 1)])
@@ -72,11 +75,11 @@ class TestGraphConstruction:
 class TestNeighbors:
     def test_path_graph(self):
         g = make_graph(3, [(0, 1), (1, 2)])
-        assert neighbors(g, 1) == {0, 2}
+        assert neighbors(g, 1).tolist() == [0, 2]
 
     def test_isolated_node(self):
         g = make_graph(3, [(0, 1)])
-        assert neighbors(g, 2) == frozenset()
+        assert neighbors(g, 2).size == 0
 
     def test_star_matches_adjacency_oracle(self):
         edges = [(0, 1), (0, 2), (0, 3)]
@@ -86,7 +89,7 @@ class TestNeighbors:
             oracle[u].add(v)
             oracle[v].add(u)
         for v in range(4):
-            assert set(neighbors(g, v)) == oracle[v]
+            assert set(neighbors(g, v).tolist()) == oracle[v]
 
     def test_excludes_self_without_self_loop(self):
         g = make_graph(3, [(0, 1)])
@@ -109,10 +112,10 @@ class TestNeighbors:
 
 class TestKhopSubgraph:
     def test_zero_hop_is_self_loop_only(self):
-        g = make_graph(5, [(0, 1), (1, 2)])
+        g = make_graph(5, [(0, 1), (1, 2), (1, 1)])
         sub = khop_subgraph(g, 1, 0)
         assert sub.nodes == (1,)
-        assert sub.edges == {(1, 1)}
+        assert sub.edges == ()
         assert sub.hop == 0
         np.testing.assert_array_equal(sub.feature_view, g.features[[1]])
 
@@ -120,9 +123,7 @@ class TestKhopSubgraph:
         g = make_graph(4, [(0, 1), (1, 2), (2, 3)])
         sub = khop_subgraph(g, 1, 1)
         assert sub.nodes == (0, 1, 2)
-        non_loops = {e for e in sub.edges if e[0] != e[1]}
-        assert non_loops == {(0, 1), (1, 2)}
-        assert {(v, v) for v in sub.nodes} <= sub.edges
+        assert sub.edges == ((0, 1), (1, 2))
 
     def test_invalid_inputs(self):
         g = make_graph(3, [(0, 1)])
@@ -133,20 +134,20 @@ class TestKhopSubgraph:
 
     def test_exclusion_removes_edge_and_frontier(self):
         g = make_graph(3, [(0, 1), (1, 2)])
-        sub = khop_subgraph(g, 0, 1, exclude=(0, 1))
+        sub = khop_subgraph(g, 0, 1, exclude=(1, 0))
         assert sub.nodes == (0,)
-        assert sub.edges == {(0, 0)}
+        assert sub.edges == ()
 
     def test_matches_bfs_oracle_on_random_graphs(self):
         rng = np.random.default_rng(7)
         for trial in range(100):
             g = random_graph(rng, 30, 0.2)
-            adj = {v: set(neighbors(g, v)) for v in range(g.num_nodes)}
+            adj = {v: set(neighbors(g, v).tolist()) for v in range(g.num_nodes)}
             v = int(rng.integers(g.num_nodes))
             k = int(rng.integers(0, 3))
             banned = None
-            if g.edges and rng.random() < 0.7:
-                banned = sorted(g.edges)[int(rng.integers(len(g.edges)))]
+            if g.num_edges and rng.random() < 0.7:
+                banned = tuple(g.edges[int(rng.integers(g.num_edges))].tolist())
             expected = bfs_oracle(adj, v, k, banned) if k else {v}
             sub = khop_subgraph(g, v, k, exclude=banned)
             assert set(sub.nodes) == expected
@@ -155,7 +156,7 @@ class TestKhopSubgraph:
         rng = np.random.default_rng(9)
         g = random_graph(rng, 24, 0.15)
         for v in range(g.num_nodes):
-            e = sorted(g.edges)[0] if g.edges else None
+            e = tuple(g.edges[0].tolist()) if g.num_edges else None
             one = set(khop_subgraph(g, v, 1, exclude=e).nodes)
             two = set(khop_subgraph(g, v, 2, exclude=e).nodes)
             assert one <= two
@@ -163,7 +164,7 @@ class TestKhopSubgraph:
     def test_exclusion_never_adds_anything(self):
         rng = np.random.default_rng(13)
         g = random_graph(rng, 20, 0.2)
-        edges = sorted(g.edges)
+        edges = g.edges.tolist()
         for trial in range(20):
             v = int(rng.integers(g.num_nodes))
             k = int(rng.integers(1, 3))
@@ -171,14 +172,14 @@ class TestKhopSubgraph:
             with_excl = khop_subgraph(g, v, k, exclude=e)
             without = khop_subgraph(g, v, k)
             assert set(with_excl.nodes) <= set(without.nodes)
-            assert set(with_excl.edges) <= set(without.edges) | {(u, u) for u in with_excl.nodes}
+            parent = {(without.nodes[a], without.nodes[b]) for a, b in without.edges}
+            assert {(with_excl.nodes[a], with_excl.nodes[b]) for a, b in with_excl.edges} <= parent
 
     def test_local_edges_reindexed(self):
         g = make_graph(5, [(2, 4), (2, 3)])
         sub = khop_subgraph(g, 2, 1)
         assert sub.nodes == (2, 3, 4)
-        assert (0, 1) in sub.local_edges()
-        assert (0, 2) in sub.local_edges()
+        assert sub.edges == ((0, 1), (0, 2))
 
 
 class TestInducedSubgraph:
@@ -187,7 +188,7 @@ class TestInducedSubgraph:
         sub, ids = induced_subgraph(g, [1, 2, 4])
         assert ids == (1, 2, 4)
         assert sub.num_nodes == 3
-        assert sub.edges == {(0, 1)}
+        assert sub.edges.tolist() == [[0, 1]]
 
     def test_feature_rows_follow_id_map(self):
         g = make_graph(5, [(0, 1)])
@@ -202,7 +203,7 @@ class TestAdjacencyRoundtrip:
         adj = adjacency_matrix(g)
         assert np.array_equal(adj, adj.T)
         g2 = graph_from_adjacency(adj, g.features, g.labels)
-        assert g2.edges == g.edges
+        np.testing.assert_array_equal(g2.edges, g.edges)
 
 
 class TestDatasetIo:
@@ -211,7 +212,7 @@ class TestDatasetIo:
         g = random_graph(rng, 15, 0.2)
         save_dataset(g, str(tmp_path))
         loaded = load_dataset(str(tmp_path))
-        assert loaded.graph.edges == g.edges
+        np.testing.assert_array_equal(loaded.graph.edges, g.edges)
         np.testing.assert_array_equal(loaded.graph.features, g.features)
         np.testing.assert_array_equal(loaded.graph.labels, g.labels)
         assert loaded.source_ids == tuple(range(15))
@@ -222,7 +223,7 @@ class TestDatasetIo:
         (tmp_path / "labels.csv").write_text("0\n1\n0\n")
         loaded = load_dataset(str(tmp_path))
         assert loaded.graph.num_nodes == 3
-        assert loaded.graph.edges == {(0, 1), (1, 2)}
+        assert loaded.graph.edges.tolist() == [[0, 1], [1, 2]]
         assert loaded.source_ids == (100, 200, 300)
 
     def test_symmetrizes_directed_edges(self, tmp_path):
@@ -230,7 +231,7 @@ class TestDatasetIo:
         (tmp_path / "features.csv").write_text("1.0\n2.0\n3.0\n")
         (tmp_path / "labels.csv").write_text("0\n1\n1\n")
         loaded = load_dataset(str(tmp_path))
-        assert loaded.graph.edges == {(0, 1), (1, 2)}
+        assert loaded.graph.edges.tolist() == [[0, 1], [1, 2]]
 
     def test_rejects_inconsistent_labels(self, tmp_path):
         (tmp_path / "edges.tsv").write_text("0\t1\n")
@@ -246,3 +247,48 @@ class TestDatasetIo:
         loaded = load_dataset(str(tmp_path))
         np.testing.assert_array_equal(loaded.graph.labels, [0, 1])
         assert loaded.label_values == (3, 7)
+
+
+class TestCsrCore:
+    @settings(max_examples=80, deadline=None)
+    @given(raw_graphs())
+    def test_edges_graph_csr_round_trip(self, drawn):
+        n, raw = drawn
+        g = make_graph(n, raw)
+        expected = sorted({normalize_edge(u, v) for u, v in raw})
+        assert g.edges.dtype == np.int64 and g.edges.shape == (len(expected), 2)
+        assert [tuple(e) for e in g.edges.tolist()] == expected
+        assert not g.edges.flags.writeable
+        assert not g.indptr.flags.writeable and not g.indices.flags.writeable
+        from_csr = set()
+        for v in range(n):
+            row = g.indices[g.indptr[v]:g.indptr[v + 1]].tolist()
+            assert row == sorted(set(row))
+            from_csr |= {normalize_edge(v, w) for w in row}
+        assert sorted(from_csr) == expected
+        assert len(g.indices) == 2 * len(expected) - sum(u == v for u, v in expected)
+        again = Graph(num_nodes=n, edges=g.edges, features=g.features, labels=g.labels)
+        np.testing.assert_array_equal(again.indptr, g.indptr)
+        np.testing.assert_array_equal(again.indices, g.indices)
+        for u in range(n):
+            for v in range(n):
+                assert g.has_edge(u, v) == (normalize_edge(u, v) in from_csr)
+
+    @settings(max_examples=60, deadline=None)
+    @given(raw_graphs(), st.data())
+    def test_khop_and_induced_match_set_oracles(self, drawn, data):
+        n, raw = drawn
+        if n == 0:
+            return
+        g = make_graph(n, raw)
+        adj = adjacency_sets(g)
+        stray = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+        for v in range(n):
+            exclusions = [None, stray] + [(w, v) for w in adj[v]]
+            for k in (0, 1, 2):
+                for exclude in exclusions:
+                    sub = khop_subgraph(g, v, k, exclude=exclude)
+                    assert (sub.nodes, sub.edges) == khop_oracle(adj, v, k, exclude)
+        kept = data.draw(st.lists(st.integers(0, n - 1), max_size=n))
+        sub, ids = induced_subgraph(g, kept)
+        assert ({tuple(e) for e in sub.edges.tolist()}, ids) == induced_oracle(g, kept)
