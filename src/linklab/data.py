@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, adjacency_matrix, induced_subgraph
+from .graph import Graph, cell_pairs, induced_subgraph, upper_cells
 from .rng import stream
 
 @dataclass(frozen=True)
@@ -117,12 +117,10 @@ def build_pair_dataset(g: Graph, seed: int, provenance: str = "unspecified") -> 
     rng = stream(seed, "negative-sample")
     needed = len(positives)
     if total_pairs <= 200_000 or num_non_edges < 3 * needed:
-        # every non-edge in row-major upper-triangle order
-        iu, ju = np.triu_indices(n, k=1)
-        non_edge = ~adjacency_matrix(g)[iu, ju]
-        candidates = np.stack([iu[non_edge], ju[non_edge]], axis=1)
+        # every non-edge cell in row-major upper-triangle order
+        candidates = np.flatnonzero(~upper_cells(g))
         chosen = rng.choice(len(candidates), size=needed, replace=False)
-        negatives = candidates[np.sort(chosen)]
+        negatives = cell_pairs(n, candidates[np.sort(chosen)])
     else:
         seen: set[int] = set()
         negatives = []

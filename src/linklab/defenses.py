@@ -1,18 +1,18 @@
 """Defense mechanisms: label-only outputs, soft posteriors, EdgeRand, LapGraph.
 
-The two differential-privacy mechanisms perturb the adjacency matrix
-before the defended model is trained; the other two only transform what a
-query returns. Every defended pipeline plugs into the unmodified attack
-stack.
+The two differential-privacy mechanisms perturb the upper-triangle cells
+of the training graph (``graph.upper_cells``) before the defended model is
+trained; the other two only transform what a query returns. Every defended
+pipeline plugs into the unmodified attack stack.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graph import Graph, adjacency_matrix, graph_from_adjacency
+from .graph import Graph, cell_pairs, upper_cells
 from .rng import stream
 
 DEFENSE_KINDS = ("none", "label_only", "soft_posterior", "edge_rand", "lap_graph")
@@ -60,14 +60,7 @@ def label_only_feature(label_u, label_v, num_classes: int) -> np.ndarray:
     return one_hot[label_u] + one_hot[label_v]
 
 
-def _validate_adjacency(adj: np.ndarray) -> np.ndarray:
-    adj = np.asarray(adj, dtype=bool)
-    if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-        raise ValueError("adjacency must be square")
-    return adj
-
-
-def edge_rand(adj: np.ndarray, epsilon: float, seed: int) -> np.ndarray:
+def edge_rand(g: Graph, epsilon: float, seed: int) -> Graph:
     """Randomized response on every upper-triangular cell.
 
     Each cell flips independently with probability ``2 / (e^eps + 1)``, the
@@ -75,18 +68,12 @@ def edge_rand(adj: np.ndarray, epsilon: float, seed: int) -> np.ndarray:
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    adj = _validate_adjacency(adj)
-    n = adj.shape[0]
-    flip_prob = 2.0 / (np.exp(epsilon) + 1.0)
-    iu, ju = np.triu_indices(n, k=1)
-    flips = stream(seed, "edge-rand").random(len(iu)) < flip_prob
-    upper = adj[iu, ju] ^ flips
-    out = np.zeros((n, n), dtype=bool)
-    out[iu, ju] = upper
-    return out | out.T
+    cells = upper_cells(g)
+    flips = stream(seed, "edge-rand").random(len(cells)) < 2.0 / (np.exp(epsilon) + 1.0)
+    return replace(g, edges=cell_pairs(g.num_nodes, np.flatnonzero(cells ^ flips)))
 
 
-def lap_graph(adj: np.ndarray, epsilon: float, budget_split: float, seed: int) -> np.ndarray:
+def lap_graph(g: Graph, epsilon: float, budget_split: float, seed: int) -> Graph:
     """Laplace perturbation keeping a privately estimated edge count.
 
     A ``budget_split`` share of epsilon estimates how many edges to keep;
@@ -97,43 +84,34 @@ def lap_graph(adj: np.ndarray, epsilon: float, budget_split: float, seed: int) -
         raise ValueError("epsilon must be positive")
     if not (0.0 < budget_split < 1.0):
         raise ValueError("budget_split must lie in (0, 1)")
-    adj = _validate_adjacency(adj)
-    n = adj.shape[0]
     eps_count = budget_split * epsilon
     eps_cells = epsilon - eps_count
     rng = stream(seed, "lap-graph")
-    iu, ju = np.triu_indices(n, k=1)
-    upper = adj[iu, ju]
-    estimate = _edge_count_estimate(upper, eps_count, rng)
-    noisy = upper.astype(np.float64) + rng.laplace(0.0, 1.0 / eps_cells, size=len(iu))
+    cells = upper_cells(g)
+    estimate = _edge_count_estimate(cells, eps_count, rng)
+    noisy = cells + rng.laplace(0.0, 1.0 / eps_cells, size=len(cells))
     keep = np.argsort(-noisy, kind="stable")[:estimate]
-    out = np.zeros((n, n), dtype=bool)
-    out[iu[keep], ju[keep]] = True
-    return out | out.T
+    return replace(g, edges=cell_pairs(g.num_nodes, keep))
 
 
-def _edge_count_estimate(upper: np.ndarray, eps_count: float, rng: np.random.Generator) -> int:
+def _edge_count_estimate(cells: np.ndarray, eps_count: float, rng: np.random.Generator) -> int:
     """Laplace-noised count of the upper-triangular edges, clamped to the
     number of cells; the first draw of the mechanism's stream."""
-    estimate = int(round(int(upper.sum()) + rng.laplace(0.0, 1.0 / eps_count)))
-    return max(0, min(estimate, len(upper)))
+    estimate = int(round(int(cells.sum()) + rng.laplace(0.0, 1.0 / eps_count)))
+    return max(0, min(estimate, len(cells)))
 
 
-def lap_graph_edge_estimate(adj: np.ndarray, epsilon: float, budget_split: float, seed: int) -> int:
+def lap_graph_edge_estimate(g: Graph, epsilon: float, budget_split: float, seed: int) -> int:
     """The private edge-count estimate the mechanism will preserve exactly."""
-    adj = _validate_adjacency(adj)
-    iu, ju = np.triu_indices(adj.shape[0], k=1)
-    return _edge_count_estimate(adj[iu, ju], budget_split * epsilon, stream(seed, "lap-graph"))
+    return _edge_count_estimate(upper_cells(g), budget_split * epsilon, stream(seed, "lap-graph"))
 
 
 def perturb_graph(g: Graph, defense: DefenseConfig, seed: int) -> Graph:
-    """Apply a pre-training adjacency perturbation when the defense asks for one."""
-    if defense.kind not in DP_KINDS:
-        return g
-    adj = adjacency_matrix(g)
-    np.fill_diagonal(adj, False)
+    """Apply a pre-training edge perturbation when the defense asks for one.
+
+    Self-loops never survive it: a cell always has ``i < j``."""
     if defense.kind == "edge_rand":
-        perturbed = edge_rand(adj, defense.epsilon, seed)
-    else:
-        perturbed = lap_graph(adj, defense.epsilon, defense.budget_split, seed)
-    return graph_from_adjacency(perturbed, g.features, g.labels)
+        return edge_rand(g, defense.epsilon, seed)
+    if defense.kind == "lap_graph":
+        return lap_graph(g, defense.epsilon, defense.budget_split, seed)
+    return g

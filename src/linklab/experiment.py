@@ -344,7 +344,8 @@ def run_experiment(cfg: ExperimentConfig, keep_artifacts: bool = False,
 
 @dataclass(frozen=True)
 class SweepReport:
-    """Utility and Attack-1 AUC per privacy budget, plus the undefended reference."""
+    """Utility and the swept attack's AUC per privacy budget, plus the
+    undefended reference."""
 
     defense_kind: str
     epsilons: tuple[float, ...]
@@ -355,27 +356,31 @@ class SweepReport:
 
 
 def run_defense_sweep(cfg: ExperimentConfig, epsilons) -> SweepReport:
-    """Retrain the defended target and rerun Attack-1 at each privacy budget."""
+    """Retrain the defended target and rerun the config's one active attack
+    at each privacy budget."""
     if cfg.defense.kind not in DP_KINDS:
         raise ValueError("defense sweep needs an edge_rand or lap_graph defense")
     epsilons = tuple(float(e) for e in epsilons)
     if not epsilons:
         raise ValueError("need at least one epsilon")
-    base = replace(cfg, attacks=("a1",), hops=None)
-    undefended = run_experiment(replace(base, defense=DefenseConfig()))
+    attacks = cfg.active_attacks()
+    if len(attacks) != 1:
+        raise ValueError(f"a defense sweep runs one attack, but attacks {attacks} are active")
+    (attack_id,) = attacks
+    undefended = run_experiment(replace(cfg, defense=DefenseConfig()))
     accs = []
     aucs = []
     for eps in epsilons:
-        rep = run_experiment(replace(base, defense=replace(cfg.defense, epsilon=eps)))
+        rep = run_experiment(replace(cfg, defense=replace(cfg.defense, epsilon=eps)))
         accs.append(float(np.mean(rep.target_accuracies)))
-        aucs.append(rep.mean_auc["a1"])
+        aucs.append(rep.mean_auc[attack_id])
     return SweepReport(
         defense_kind=cfg.defense.kind,
         epsilons=epsilons,
         target_accuracies=tuple(accs),
         attack_aucs=tuple(aucs),
         undefended_accuracy=float(np.mean(undefended.target_accuracies)),
-        undefended_auc=undefended.mean_auc["a1"],
+        undefended_auc=undefended.mean_auc[attack_id],
     )
 
 

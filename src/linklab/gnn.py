@@ -113,8 +113,8 @@ def layer_forward(layer: GnnLayer, h: Tensor, structure, training: bool = False,
                   rng: np.random.Generator | None = None, dropout_rate: float = 0.5) -> Tensor:
     """Run one layer over the nodes described by ``structure``.
 
-    ``structure`` may be a Subgraph or a prebuilt MessageStructure. ReLU is
-    applied after aggregation; dropout only in training mode.
+    ``structure`` is a MessageStructure. ReLU is applied after aggregation;
+    dropout only in training mode.
 
     Each mean or sum aggregation runs at a narrow width. A gradient-free
     input is the fixed feature matrix of the first layer: it is aggregated
@@ -123,8 +123,6 @@ def layer_forward(layer: GnnLayer, h: Tensor, structure, training: bool = False,
     layer: it is projected to the class count first, and the projection is
     aggregated, as in GCN's ``A(HW)``.
     """
-    if isinstance(structure, Subgraph):
-        structure = MessageStructure(structure.num_nodes, structure.edges)
     if h.data.ndim != 2 or h.data.shape[0] != structure.num_nodes:
         raise ValueError(
             f"feature rows {h.data.shape} do not match {structure.num_nodes} nodes"

@@ -6,7 +6,8 @@ in one read-only ``(E, 2)`` int64 array: each row is an unordered pair
 is an explicit self-loop. From it the graph builds CSR rows once:
 ``indices[indptr[v]:indptr[v + 1]]`` are the neighbors of ``v`` in
 ascending order, ``v`` itself only on a self-loop. Graphs are immutable
-after construction and safe to share.
+after construction and safe to share; graphs and subgraphs compare and
+hash by identity.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ def normalize_edge(u: int, v: int) -> Edge:
     return (u, v) if u <= v else (v, u)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """A simple undirected graph with node attributes and class labels.
 
@@ -35,8 +36,8 @@ class Graph:
     edges: np.ndarray
     features: np.ndarray
     labels: np.ndarray
-    indptr: np.ndarray = field(init=False, repr=False, compare=False)
-    indices: np.ndarray = field(init=False, repr=False, compare=False)
+    indptr: np.ndarray = field(init=False, repr=False)
+    indices: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         features = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64))
@@ -118,7 +119,7 @@ def row_entries(g: Graph, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return owner, g.indices[np.arange(len(owner)) + shift[owner]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subgraph:
     """The induced subgraph an inference query presents to a model.
 
@@ -201,23 +202,25 @@ def induced_subgraph(g: Graph, node_ids) -> tuple[Graph, tuple[int, ...]]:
     return sub, tuple(ids.tolist())
 
 
-def adjacency_matrix(g: Graph) -> np.ndarray:
-    """Dense symmetric boolean adjacency; self-loops land on the diagonal."""
-    adj = np.zeros((g.num_nodes, g.num_nodes), dtype=bool)
-    u, v = g.edges.T
-    adj[u, v] = True
-    adj[v, u] = True
-    return adj
+def upper_cells(g: Graph) -> np.ndarray:
+    """Edge marks over the ``n(n - 1) / 2`` cells ``(i, j)``, ``i < j``, in
+    row-major order: cell ``i(2n - i - 1) / 2 + j - i - 1``. Self-loops
+    have no cell."""
+    n = g.num_nodes
+    cells = np.zeros(n * (n - 1) // 2, dtype=bool)
+    u, v = g.edges[g.edges[:, 0] != g.edges[:, 1]].T
+    cells[u * (2 * n - u - 1) // 2 + v - u - 1] = True
+    return cells
 
 
-def graph_from_adjacency(adj: np.ndarray, features: np.ndarray, labels: np.ndarray) -> Graph:
-    adj = np.asarray(adj, dtype=bool)
-    if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-        raise ValueError("adjacency must be square")
-    if not np.array_equal(adj, adj.T):
-        raise ValueError("adjacency must be symmetric")
-    return Graph(num_nodes=adj.shape[0], edges=np.argwhere(np.triu(adj)),
-                 features=features, labels=labels)
+def cell_pairs(n: int, cells) -> np.ndarray:
+    """The ``(i, j)`` rows of the cell ids ``cells`` in the order of
+    ``upper_cells`` on ``n`` nodes."""
+    cells = np.asarray(cells, dtype=np.int64)
+    rows = np.arange(n, dtype=np.int64)
+    starts = rows * (2 * n - rows - 1) // 2
+    i = np.searchsorted(starts, cells, side="right") - 1
+    return np.stack([i, cells - starts[i] + i + 1], axis=1)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,17 @@
-"""The set-based graph code the edge-array/CSR core replaced, kept as oracles.
+"""The graph code the edge-array/CSR core replaced, kept as oracles.
 
-Each function reads a graph only through its list of edge rows and rebuilds
-the Python sets and dicts the earlier implementation kept: a set of
-``(min, max)`` tuples and one neighbor set per node.
+The set-based functions read a graph only through its list of edge rows
+and rebuild the Python sets and dicts the earlier implementation kept: a
+set of ``(min, max)`` tuples and one neighbor set per node. The DP
+mechanisms work on the dense boolean adjacency matrix, as the earlier
+implementation did, and draw the same named streams.
 """
 
+import numpy as np
 from hypothesis import strategies as st
 
 from linklab.graph import normalize_edge
+from linklab.rng import stream
 
 
 def edge_set(g):
@@ -70,6 +74,53 @@ def proximity_oracle(adj, u, v):
     union = len(nu | nv)
     jaccard = inter / union if union else 0.0
     return inter, jaccard, len(nu) * len(nv)
+
+
+def adjacency_matrix(g):
+    """Dense symmetric boolean adjacency; self-loops land on the diagonal."""
+    adj = np.zeros((g.num_nodes, g.num_nodes), dtype=bool)
+    u, v = g.edges.T
+    adj[u, v] = True
+    adj[v, u] = True
+    return adj
+
+
+def edge_rand_oracle(adj, epsilon, seed):
+    """Randomized response on every upper-triangular cell of ``adj``; a
+    symmetric matrix with an empty diagonal."""
+    n = adj.shape[0]
+    flip_prob = 2.0 / (np.exp(epsilon) + 1.0)
+    iu, ju = np.triu_indices(n, k=1)
+    flips = stream(seed, "edge-rand").random(len(iu)) < flip_prob
+    out = np.zeros((n, n), dtype=bool)
+    out[iu, ju] = adj[iu, ju] ^ flips
+    return out | out.T
+
+
+def lap_graph_edge_estimate_oracle(adj, epsilon, budget_split, seed):
+    iu, ju = np.triu_indices(adj.shape[0], k=1)
+    return _edge_count_estimate(adj[iu, ju], budget_split * epsilon, stream(seed, "lap-graph"))
+
+
+def _edge_count_estimate(upper, eps_count, rng):
+    estimate = int(round(int(upper.sum()) + rng.laplace(0.0, 1.0 / eps_count)))
+    return max(0, min(estimate, len(upper)))
+
+
+def lap_graph_oracle(adj, epsilon, budget_split, seed):
+    """Laplace-noised upper cells of ``adj``, the estimated number of
+    largest kept; a symmetric matrix with an empty diagonal."""
+    n = adj.shape[0]
+    eps_count = budget_split * epsilon
+    rng = stream(seed, "lap-graph")
+    iu, ju = np.triu_indices(n, k=1)
+    upper = adj[iu, ju]
+    estimate = _edge_count_estimate(upper, eps_count, rng)
+    noisy = upper.astype(np.float64) + rng.laplace(0.0, 1.0 / (epsilon - eps_count), size=len(iu))
+    keep = np.argsort(-noisy, kind="stable")[:estimate]
+    out = np.zeros((n, n), dtype=bool)
+    out[iu[keep], ju[keep]] = True
+    return out | out.T
 
 
 @st.composite

@@ -5,6 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from graph_oracles import (
+    adjacency_matrix,
+    edge_rand_oracle,
+    lap_graph_edge_estimate_oracle,
+    lap_graph_oracle,
+    raw_graphs,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linklab.attacks import attack_dataset_inputs, spec_for
 from linklab.defenses import (
@@ -19,7 +28,7 @@ from linklab.defenses import (
 from linklab.data import generate_planted_partition, make_splits
 from linklab.features import PosteriorTable
 from linklab.gnn import khop_query, train_gnn
-from linklab.graph import adjacency_matrix, khop_subgraph
+from linklab.graph import Graph, khop_subgraph, upper_cells
 
 
 class TestDefenseConfig:
@@ -60,99 +69,136 @@ class TestLabelOnlyFeature:
             )
 
 
-def random_adjacency(rng, n, p):
+def random_graph(rng, n, p):
+    """The graph on the upper cells of an ``n x n`` draw at density ``p``."""
     adj = rng.random((n, n)) < p
-    adj = np.triu(adj, k=1)
-    return adj | adj.T
+    return Graph(num_nodes=n, edges=np.argwhere(np.triu(adj, k=1)),
+                 features=np.zeros((n, 1)), labels=np.zeros(n, dtype=np.int64))
+
+
+def empty_graph(n):
+    return Graph(num_nodes=n, edges=[], features=np.zeros((n, 1)),
+                 labels=np.zeros(n, dtype=np.int64))
+
+
+def flipped_cells(out, g):
+    return int((upper_cells(out) ^ upper_cells(g)).sum())
 
 
 class TestEdgeRand:
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ValueError):
-            edge_rand(np.zeros((3, 3), dtype=bool), 0.0, seed=0)
+            edge_rand(empty_graph(3), 0.0, seed=0)
 
     def test_large_epsilon_rarely_flips(self):
         rng = np.random.default_rng(0)
-        adj = random_adjacency(rng, 142, 0.1)  # ~10^4 upper cells
-        out = edge_rand(adj, 20.0, seed=1)
-        flips = np.triu(out ^ adj, k=1).sum()
-        assert flips < 2  # expected < 1 at eps = 20
+        g = random_graph(rng, 142, 0.1)  # ~10^4 upper cells
+        out = edge_rand(g, 20.0, seed=1)
+        assert flipped_cells(out, g) < 2  # expected < 1 at eps = 20
 
     def test_ln3_flip_probability_half(self):
         assert 2.0 / (math.exp(math.log(3.0)) + 1.0) == pytest.approx(0.5)
         rng = np.random.default_rng(1)
-        adj = random_adjacency(rng, 450, 0.05)
-        out = edge_rand(adj, math.log(3.0), seed=2)
-        rate = np.triu(out ^ adj, k=1).sum() / (450 * 449 / 2)
+        g = random_graph(rng, 450, 0.05)
+        out = edge_rand(g, math.log(3.0), seed=2)
+        rate = flipped_cells(out, g) / (450 * 449 / 2)
         assert abs(rate - 0.5) < 0.01
 
     def test_empirical_flip_rate(self):
         n = 450  # ~10^5 upper cells
         rng = np.random.default_rng(2)
-        adj = random_adjacency(rng, n, 0.02)
-        out = edge_rand(adj, 2.0, seed=3)
+        g = random_graph(rng, n, 0.02)
+        out = edge_rand(g, 2.0, seed=3)
         cells = n * (n - 1) / 2
-        rate = np.triu(out ^ adj, k=1).sum() / cells
+        rate = flipped_cells(out, g) / cells
         expected = 2.0 / (math.exp(2.0) + 1.0)
         assert abs(rate - expected) < 0.005
 
     def test_output_symmetric_zero_diagonal(self):
         rng = np.random.default_rng(3)
-        adj = random_adjacency(rng, 30, 0.2)
-        out = edge_rand(adj, 1.0, seed=4)
-        assert np.array_equal(out, out.T)
-        assert not out.diagonal().any()
+        g = random_graph(rng, 30, 0.2)
+        looped = Graph(num_nodes=30, edges=np.concatenate([g.edges, [[v, v] for v in range(30)]]),
+                       features=g.features, labels=g.labels)
+        out = edge_rand(looped, 1.0, seed=4)
+        assert (out.edges[:, 0] < out.edges[:, 1]).all()
+        np.testing.assert_array_equal(out.edges, edge_rand(g, 1.0, seed=4).edges)
 
     def test_deterministic(self):
         rng = np.random.default_rng(4)
-        adj = random_adjacency(rng, 25, 0.2)
-        assert np.array_equal(edge_rand(adj, 1.5, seed=7), edge_rand(adj, 1.5, seed=7))
+        g = random_graph(rng, 25, 0.2)
+        assert np.array_equal(edge_rand(g, 1.5, seed=7).edges, edge_rand(g, 1.5, seed=7).edges)
 
 
 class TestLapGraph:
     def test_edge_count_equals_estimate(self):
         rng = np.random.default_rng(5)
-        adj = random_adjacency(rng, 30, 0.15)
+        g = random_graph(rng, 30, 0.15)
         for eps in (1.0, 2.0, 5.0, 10.0):
             for seed in (0, 1, 2):
-                out = lap_graph(adj, eps, 0.01, seed=seed)
-                estimate = lap_graph_edge_estimate(adj, eps, 0.01, seed=seed)
-                assert np.triu(out, k=1).sum() == estimate
-                assert np.array_equal(out, out.T)
-                assert not out.diagonal().any()
+                out = lap_graph(g, eps, 0.01, seed=seed)
+                estimate = lap_graph_edge_estimate(g, eps, 0.01, seed=seed)
+                assert out.num_edges == estimate
+                assert (out.edges[:, 0] < out.edges[:, 1]).all()
 
     def test_huge_epsilon_recovers_input(self):
         rng = np.random.default_rng(6)
-        adj = random_adjacency(rng, 25, 0.2)
-        out = lap_graph(adj, 1e6, 0.5, seed=3)
-        assert np.array_equal(out, adj)
+        g = random_graph(rng, 25, 0.2)
+        out = lap_graph(g, 1e6, 0.5, seed=3)
+        np.testing.assert_array_equal(out.edges, g.edges)
 
     def test_empty_graph_large_epsilon_stays_empty(self):
-        out = lap_graph(np.zeros((20, 20), dtype=bool), 1e5, 0.5, seed=1)
-        assert out.sum() == 0
+        out = lap_graph(empty_graph(20), 1e5, 0.5, seed=1)
+        assert out.num_edges == 0
 
     def test_estimate_tail_behavior(self):
         """round(|E| + Laplace(1/eps1)) lands within 3 scale units >= 95% of the time."""
         rng = np.random.default_rng(7)
-        adj = random_adjacency(rng, 30, 0.2)
-        true_edges = np.triu(adj, k=1).sum()
+        g = random_graph(rng, 30, 0.2)
+        true_edges = g.num_edges
         eps, split = 5.0, 0.5
         scale = 1.0 / (split * eps)
         hits = 0
         trials = 200
         for seed in range(trials):
-            estimate = lap_graph_edge_estimate(adj, eps, split, seed=seed)
+            estimate = lap_graph_edge_estimate(g, eps, split, seed=seed)
             if abs(estimate - true_edges) <= 3.0 * scale + 0.5:
                 hits += 1
         # P(|Laplace| <= 3 scale) = 1 - e^-3 ~ 0.95
         assert hits / trials >= 0.95
 
     def test_rejects_bad_arguments(self):
-        adj = np.zeros((4, 4), dtype=bool)
+        g = empty_graph(4)
         with pytest.raises(ValueError):
-            lap_graph(adj, 0.0, 0.1, seed=0)
+            lap_graph(g, 0.0, 0.1, seed=0)
         with pytest.raises(ValueError):
-            lap_graph(adj, 1.0, 0.0, seed=0)
+            lap_graph(g, 1.0, 0.0, seed=0)
+
+
+class TestDenseOracles:
+    """The cell-id mechanisms against the dense-matrix ones they replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(raw_graphs(), st.sampled_from([0.1, 1.0, 2.0, 5.0]), st.integers(0, 3),
+           st.sampled_from([0.01, 0.5]))
+    def test_bitwise_equal_dense_mechanisms(self, drawn, epsilon, seed, split):
+        n, raw = drawn
+        g = Graph(num_nodes=n, edges=raw, features=np.zeros((n, 1)),
+                  labels=np.zeros(n, dtype=np.int64))
+        adj = adjacency_matrix(g)
+        cases = (
+            (edge_rand(g, epsilon, seed), edge_rand_oracle(adj, epsilon, seed),
+             DefenseConfig(kind="edge_rand", epsilon=epsilon)),
+            (lap_graph(g, epsilon, split, seed), lap_graph_oracle(adj, epsilon, split, seed),
+             DefenseConfig(kind="lap_graph", epsilon=epsilon, budget_split=split)),
+        )
+        for out, dense, defense in cases:
+            expected = np.argwhere(np.triu(dense))
+            assert out.edges.dtype == expected.dtype
+            np.testing.assert_array_equal(out.edges, expected)
+            np.testing.assert_array_equal(perturb_graph(g, defense, seed).edges, expected)
+            assert out.features is g.features and out.labels is g.labels
+        assert (lap_graph_edge_estimate(g, epsilon, split, seed)
+                == lap_graph_edge_estimate_oracle(adj, epsilon, split, seed))
 
 
 @pytest.fixture(scope="module")
@@ -237,5 +283,4 @@ class TestPerturbGraph:
         np.testing.assert_array_equal(out.features, graph.features)
         np.testing.assert_array_equal(out.labels, graph.labels)
         assert out.num_nodes == graph.num_nodes
-        flips = adjacency_matrix(out) ^ adjacency_matrix(graph)
-        assert flips.sum() > 0
+        assert flipped_cells(out, graph) > 0

@@ -219,6 +219,27 @@ class TestDefenseSweep:
         with pytest.raises(ValueError):
             run_defense_sweep(small_cfg(), [1.0])
 
+    def test_cli_sweep_runs_the_given_attack(self, tmp_path, capsys):
+        config = tmp_path / "small.cfg"
+        config.write_text("synthetic_nodes = 120\nsynthetic_communities = 3\n"
+                          "synthetic_p_in = 0.2\nsynthetic_p_out = 0.02\n")
+        flags = ["--config", str(config), "--attack", "a9", "--runs", "1", "--seed", "3",
+                 "--epochs", "15", "--attack-epochs", "15"]
+        out = tmp_path / "sweep"
+        assert cli_main(["sweep", "--defense", "edgerand", "--epsilons", "2",
+                         "--out", str(out)] + flags) == 0
+        rows = [line.split(",") for line in (out / "sweep.csv").read_text().split("\n")[1:3]]
+        for row, defense in ((rows[0], "none"), (rows[1], "edgerand")):
+            assert cli_main(["attack", "--defense", defense, "--epsilon", "2",
+                             "--out", str(tmp_path / defense)] + flags) == 0
+            summary = (tmp_path / defense / "summary.csv").read_text()
+            assert summary == f"attack,mean_auc\na9,{row[2]}\n"
+
+    def test_rejects_more_than_one_attack_before_loading(self, tmp_path):
+        missing = str(tmp_path / "no-such-dataset")
+        with pytest.raises(ValueError, match="attacks"):
+            cli_main(["sweep", "--dataset", missing, "--attack", "a1,a9", "--epsilons", "1"])
+
 
 class TestPairMetricValues:
     def test_matches_direct_computation(self):

@@ -6,16 +6,17 @@ from graph_oracles import adjacency_sets, induced_oracle, khop_oracle, raw_graph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linklab.experiment import _graphs_equal
 from linklab.graph import (
     Graph,
-    adjacency_matrix,
-    graph_from_adjacency,
+    cell_pairs,
     induced_subgraph,
     khop_subgraph,
     load_dataset,
     neighbors,
     normalize_edge,
     save_dataset,
+    upper_cells,
 )
 
 
@@ -196,14 +197,33 @@ class TestInducedSubgraph:
         np.testing.assert_array_equal(sub.features, g.features[list(ids)])
 
 
-class TestAdjacencyRoundtrip:
-    def test_matrix_and_back(self):
-        rng = np.random.default_rng(3)
-        g = random_graph(rng, 12, 0.3)
-        adj = adjacency_matrix(g)
-        assert np.array_equal(adj, adj.T)
-        g2 = graph_from_adjacency(adj, g.features, g.labels)
-        np.testing.assert_array_equal(g2.edges, g.edges)
+class TestUpperCells:
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(raw_graphs(), st.sampled_from([(0, []), (1, [(0, 0)]), (2, [(1, 0)]),
+                                                    (2, [(0, 0), (1, 1)])])))
+    def test_cell_pairs_round_trip(self, drawn):
+        n, raw = drawn
+        g = make_graph(n, raw)
+        cells = upper_cells(g)
+        assert cells.dtype == bool and cells.shape == (n * (n - 1) // 2,)
+        np.testing.assert_array_equal(cell_pairs(n, np.flatnonzero(cells)),
+                                      g.edges[g.edges[:, 0] != g.edges[:, 1]])
+        rows, cols = np.triu_indices(n, k=1)
+        np.testing.assert_array_equal(cells, [g.has_edge(u, v) for u, v in zip(rows, cols)])
+        np.testing.assert_array_equal(cell_pairs(n, np.arange(len(cells))),
+                                      np.stack([rows, cols], axis=1))
+
+
+class TestIdentity:
+    def test_graphs_and_subgraphs_compare_by_identity(self):
+        g = make_graph(4, [(0, 1), (1, 2)])
+        twin = make_graph(4, [(0, 1), (1, 2)])
+        assert g == g and g != twin
+        assert len({g, g, twin}) == 2
+        sub = khop_subgraph(g, 1, 1)
+        assert sub == sub and sub != khop_subgraph(g, 1, 1)
+        assert hash(sub) == hash(sub)
+        assert _graphs_equal(g, twin)
 
 
 class TestDatasetIo:
