@@ -142,9 +142,10 @@ def build_attack_model(attack_id: str, input_dims: dict[str, int],
                          head_w=head_w, head_b=head_b, input_dims=dict(input_dims))
 
 
-def mlp_forward(model: MultiInputMlp, inputs: dict[str, np.ndarray], training: bool = False,
-                rng: np.random.Generator | None = None, dropout_rate: float = 0.5) -> Tensor:
-    """Logits for a batch of feature rows keyed by input kind."""
+def mlp_forward(model: MultiInputMlp, inputs: dict[str, np.ndarray],
+                rng: np.random.Generator | None = None, dropout_rate: float = 0.0) -> Tensor:
+    """Logits for a batch of feature rows keyed by input kind; every hidden
+    layer drops at ``dropout_rate``, which is 0 outside training."""
     if set(inputs) != {br.kind for br in model.branches}:
         raise ValueError(
             f"model expects inputs {sorted(br.kind for br in model.branches)}, "
@@ -159,9 +160,7 @@ def mlp_forward(model: MultiInputMlp, inputs: dict[str, np.ndarray], training: b
             )
         h = Tensor(x)
         for w, b in zip(br.weights, br.biases):
-            h = nn.relu(nn.add(nn.matmul(h, w), b))
-            if training and dropout_rate > 0.0:
-                h = nn.dropout(h, dropout_rate, training=True, rng=rng)
+            h = nn.relu_dropout(nn.add(nn.matmul(h, w), b), dropout_rate, rng)
         embeddings.append(h)
     joined = embeddings[0] if len(embeddings) == 1 else nn.concat_cols(embeddings)
     return nn.add(nn.matmul(joined, model.head_w), model.head_b)
@@ -234,8 +233,7 @@ def train_attack(attack_id: str, inputs: dict[str, np.ndarray], labels: np.ndarr
     optimizer = nn.Adam(model.parameters(), learning_rate=learning_rate)
     for epoch in range(epochs):
         optimizer.learning_rate = nn.cosine_anneal(learning_rate, epoch, epochs)
-        logits = mlp_forward(model, inputs, training=True, rng=drop_rng,
-                             dropout_rate=dropout_rate)
+        logits = mlp_forward(model, inputs, drop_rng, dropout_rate)
         loss, _ = nn.softmax_cross_entropy(logits, labels)
         loss.backward()
         optimizer.step()
@@ -244,6 +242,6 @@ def train_attack(attack_id: str, inputs: dict[str, np.ndarray], labels: np.ndarr
 
 def link_scores(model: MultiInputMlp, inputs: dict[str, np.ndarray]) -> np.ndarray:
     """Per-pair link probability (softmax weight of the link class)."""
-    logits = mlp_forward(model, inputs, training=False)
+    logits = mlp_forward(model, inputs)
     probs = nn.softmax_with_temperature(logits, 1.0).data
     return np.array(probs[:, 1])

@@ -17,12 +17,13 @@ from .experiment import (
     run_defense_sweep,
     run_experiment,
     summarize_report_csv,
+    train_target,
     write_analyses,
     write_reports,
     write_run_artifacts,
     write_sweep_report,
 )
-from .gnn import evaluate_accuracy, save_gnn, train_gnn
+from .gnn import evaluate_accuracy, save_gnn
 from .rng import derive_seed
 
 
@@ -82,11 +83,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     cfg, out = _build(args)
     graph = load_or_generate(cfg)
     bundle = make_splits(graph, derive_seed(cfg.seed, "split"), cfg.shadow_fraction)
-    model = train_gnn(
-        bundle.target_train, cfg.target_arch, derive_seed(cfg.seed, "target-train"),
-        num_classes=graph.num_classes, hidden=cfg.hidden, epochs=cfg.epochs,
-        learning_rate=cfg.learning_rate, dropout_rate=cfg.dropout,
-    )
+    model = train_target(cfg, bundle.target_train, graph.num_classes, cfg.seed)
     train_acc = evaluate_accuracy(model, bundle.target_train)
     test_acc = evaluate_accuracy(model, bundle.target_test)
     print(f"target {cfg.target_arch}: train accuracy {train_acc:.4f}, test accuracy {test_acc:.4f}")
@@ -131,9 +128,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = config_from_mapping(mapping)
     epsilons = [float(e) for e in str(epsilons_text).split(",") if e.strip()]
     sweep = run_defense_sweep(cfg, epsilons)
-    print(f"undefended: accuracy {sweep.undefended_accuracy:.4f}, AUC {sweep.undefended_auc:.4f}")
+    name = sweep.attack_id
+    print(f"undefended: accuracy {sweep.undefended_accuracy:.4f}, "
+          f"{name} AUC {sweep.undefended_auc:.4f}")
     for eps, acc, a in zip(sweep.epsilons, sweep.target_accuracies, sweep.attack_aucs):
-        print(f"epsilon {eps:g}: accuracy {acc:.4f}, AUC {a:.4f}")
+        print(f"epsilon {eps:g}: accuracy {acc:.4f}, {name} AUC {a:.4f}")
     if out:
         write_sweep_report(sweep, out)
         print(f"sweep written to {out}")

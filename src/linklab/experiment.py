@@ -192,6 +192,20 @@ def load_or_generate(cfg: ExperimentConfig) -> Graph:
     )
 
 
+def train_target(cfg: ExperimentConfig, target_train: Graph, num_classes: int,
+                 run_seed: int) -> TrainedGnn:
+    """Perturb the target-train graph as the config's defense asks, then
+    train the target GNN on it."""
+    with _stage("defense"):
+        graph = perturb_graph(target_train, cfg.defense, derive_seed(run_seed, "defense"))
+    with _stage("target-train"):
+        return train_gnn(
+            graph, cfg.target_arch, derive_seed(run_seed, "target-train"),
+            num_classes=num_classes, hidden=cfg.hidden, epochs=cfg.epochs,
+            learning_rate=cfg.learning_rate, dropout_rate=cfg.dropout,
+        )
+
+
 def _single_run(cfg: ExperimentConfig, graph: Graph, shadow_cfg: ExperimentConfig,
                 shadow_graph: Graph, run_idx: int, transfer: bool, keep: bool):
     """One seeded pipeline pass; returns (aucs, target_acc, shadow_acc, artifacts).
@@ -208,17 +222,7 @@ def _single_run(cfg: ExperimentConfig, graph: Graph, shadow_cfg: ExperimentConfi
         )
 
     defense = cfg.defense
-
-    with _stage("defense"):
-        target_train_graph = perturb_graph(
-            bundle.target_train, defense, derive_seed(run_seed, "defense")
-        )
-    with _stage("target-train"):
-        target = train_gnn(
-            target_train_graph, cfg.target_arch, derive_seed(run_seed, "target-train"),
-            num_classes=graph.num_classes, hidden=cfg.hidden, epochs=cfg.epochs,
-            learning_rate=cfg.learning_rate, dropout_rate=cfg.dropout,
-        )
+    target = train_target(cfg, bundle.target_train, graph.num_classes, run_seed)
     with _stage("shadow-train"):
         shadow = train_gnn(
             shadow_bundle.shadow_train, cfg.shadow_arch, derive_seed(run_seed, "shadow-train"),
@@ -348,6 +352,7 @@ class SweepReport:
     undefended reference."""
 
     defense_kind: str
+    attack_id: str
     epsilons: tuple[float, ...]
     target_accuracies: tuple[float, ...]
     attack_aucs: tuple[float, ...]
@@ -376,6 +381,7 @@ def run_defense_sweep(cfg: ExperimentConfig, epsilons) -> SweepReport:
         aucs.append(rep.mean_auc[attack_id])
     return SweepReport(
         defense_kind=cfg.defense.kind,
+        attack_id=attack_id,
         epsilons=epsilons,
         target_accuracies=tuple(accs),
         attack_aucs=tuple(aucs),
@@ -432,11 +438,12 @@ def write_reports(report: RunReport, outdir: str) -> None:
 
 def write_sweep_report(sweep: SweepReport, outdir: str) -> None:
     os.makedirs(outdir, exist_ok=True)
-    rows = [["undefended", _fmt(sweep.undefended_accuracy), _fmt(sweep.undefended_auc)]]
+    rows = [[sweep.attack_id, "undefended", _fmt(sweep.undefended_accuracy),
+             _fmt(sweep.undefended_auc)]]
     for eps, acc, a in zip(sweep.epsilons, sweep.target_accuracies, sweep.attack_aucs):
-        rows.append([_fmt(eps), _fmt(acc), _fmt(a)])
+        rows.append([sweep.attack_id, _fmt(eps), _fmt(acc), _fmt(a)])
     _write_csv(os.path.join(outdir, "sweep.csv"),
-               ["epsilon", "target_accuracy", "attack_auc"], rows)
+               ["attack", "epsilon", "target_accuracy", "attack_auc"], rows)
 
 
 def write_run_artifacts(report: RunReport, outdir: str) -> None:

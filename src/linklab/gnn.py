@@ -109,12 +109,12 @@ def _make_layer(kind: str, in_dim: int, out_dim: int, heads: int, rng: np.random
     return GnnLayer(kind=kind, in_dim=in_dim, out_dim=out_dim, heads=heads, params=params)
 
 
-def layer_forward(layer: GnnLayer, h: Tensor, structure, training: bool = False,
-                  rng: np.random.Generator | None = None, dropout_rate: float = 0.5) -> Tensor:
+def layer_forward(layer: GnnLayer, h: Tensor, structure,
+                  rng: np.random.Generator | None = None, dropout_rate: float = 0.0) -> Tensor:
     """Run one layer over the nodes described by ``structure``.
 
-    ``structure`` is a MessageStructure. ReLU is applied after aggregation;
-    dropout only in training mode.
+    ``structure`` is a MessageStructure. One ``nn.relu_dropout`` follows
+    aggregation; it drops at ``dropout_rate``, which is 0 outside training.
 
     Each mean or sum aggregation runs at a narrow width. A gradient-free
     input is the fixed feature matrix of the first layer: it is aggregated
@@ -164,15 +164,12 @@ def layer_forward(layer: GnnLayer, h: Tensor, structure, training: bool = False,
         else:
             z = nn.matmul(h, w1)
             projected = nn.add(nn.matmul(structure.sum_mat, z), nn.scalar_mul(z, eps))
-        hidden = nn.relu(nn.add(projected, layer.params["b1"]))
+        hidden = nn.relu_dropout(nn.add(projected, layer.params["b1"]))
         out = nn.add(nn.matmul(hidden, layer.params["w2"]), layer.params["b2"])
     else:
         raise ValueError(f"unknown layer kind {layer.kind!r}")
 
-    out = nn.relu(out)
-    if training and dropout_rate > 0.0:
-        out = nn.dropout(out, dropout_rate, training=True, rng=rng)
-    return out
+    return nn.relu_dropout(out, dropout_rate, rng)
 
 
 @dataclass
@@ -200,12 +197,12 @@ def init_gnn(arch: str, in_dim: int, num_classes: int, rng: np.random.Generator,
                       num_classes=num_classes, in_dim=in_dim)
 
 
-def gnn_forward(model: TrainedGnn, h0: Tensor, structure, training: bool = False,
-                rng: np.random.Generator | None = None, dropout_rate: float = 0.5) -> Tensor:
+def gnn_forward(model: TrainedGnn, h0: Tensor, structure,
+                rng: np.random.Generator | None = None, dropout_rate: float = 0.0) -> Tensor:
     """Two-layer pass; dropout regularizes only the hidden layer, the class
     scores themselves are never dropped."""
-    h1 = layer_forward(model.layer1, h0, structure, training, rng, dropout_rate)
-    return layer_forward(model.layer2, h1, structure, training=False)
+    h1 = layer_forward(model.layer1, h0, structure, rng, dropout_rate)
+    return layer_forward(model.layer2, h1, structure)
 
 
 def train_gnn(train_graph: Graph, arch: str, seed: int, *, num_classes: int | None = None,
@@ -229,8 +226,7 @@ def train_gnn(train_graph: Graph, arch: str, seed: int, *, num_classes: int | No
     h0 = Tensor(train_graph.features)
     optimizer = nn.Adam(model.parameters(), learning_rate=learning_rate)
     for _ in range(epochs):
-        logits = gnn_forward(model, h0, structure, training=True, rng=drop_rng,
-                             dropout_rate=dropout_rate)
+        logits = gnn_forward(model, h0, structure, drop_rng, dropout_rate)
         loss, _ = nn.softmax_cross_entropy(logits, train_graph.labels)
         loss.backward()
         optimizer.step()
@@ -244,7 +240,7 @@ def khop_query(model: TrainedGnn, sub: Subgraph, temperature: float = 1.0) -> np
             f"subgraph feature dim {sub.feature_view.shape[1]} != model in_dim {model.in_dim}"
         )
     structure = MessageStructure(sub.num_nodes, sub.edges)
-    logits = gnn_forward(model, Tensor(sub.feature_view), structure, training=False)
+    logits = gnn_forward(model, Tensor(sub.feature_view), structure)
     post = nn.softmax_with_temperature(logits, temperature).data[sub.center_index]
     if abs(post.sum() - 1.0) > 1e-9 or post.min() < 0.0:
         raise FloatingPointError("posterior failed normalization check")
@@ -254,7 +250,7 @@ def khop_query(model: TrainedGnn, sub: Subgraph, temperature: float = 1.0) -> np
 def evaluate_accuracy(model: TrainedGnn, g: Graph) -> float:
     """Whole-graph classification accuracy (dropout off, self-loops added)."""
     structure = MessageStructure(g.num_nodes, g.edges)
-    logits = gnn_forward(model, Tensor(g.features), structure, training=False)
+    logits = gnn_forward(model, Tensor(g.features), structure)
     predictions = np.argmax(logits.data, axis=1)
     return float(np.mean(predictions == g.labels))
 

@@ -33,8 +33,10 @@ class Tensor:
         return self.data.shape
 
     def _accumulate(self, g: np.ndarray) -> None:
+        # The first gradient is kept as given: it may be the very array
+        # another node holds, so no backward writes into its incoming array.
         if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64)
+            self.grad = g
         else:
             self.grad = self.grad + g
 
@@ -136,11 +138,26 @@ def scalar_mul(x: Tensor, s: Tensor) -> Tensor:
     return _result(out_data, (x, s), backward)
 
 
-def relu(x: Tensor) -> Tensor:
+def relu_dropout(x: Tensor, rate: float = 0.0, rng: np.random.Generator | None = None) -> Tensor:
+    """ReLU, then inverted dropout: each element is zeroed with probability
+    ``rate`` and survivors are scaled by ``1 / (1 - rate)``.
+
+    Rate 0, the default and the inference setting, draws nothing and is
+    plain ReLU. A positive rate needs ``rng``. Both steps share one
+    multiplier, so the backward is a single product.
+    """
+    if not (0.0 <= rate < 1.0):
+        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     out_data = np.maximum(x.data, 0.0)
+    mult = x.data > 0.0
+    if rate > 0.0:
+        if rng is None:
+            raise ValueError("training-mode dropout needs an explicit rng")
+        mult = mult * (rng.random(x.data.shape) >= rate) * (1.0 / (1.0 - rate))
+        out_data = out_data * mult
 
     def backward(g: np.ndarray) -> None:
-        x._accumulate(g * (x.data > 0.0))
+        x._accumulate(g * mult)
 
     return _result(out_data, (x,), backward)
 
@@ -225,24 +242,6 @@ def masked_row_softmax(scores: Tensor, mask: np.ndarray) -> Tensor:
         scores._accumulate(out_data * (g - inner))
 
     return _result(out_data, (scores,), backward)
-
-
-def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
-    """Zero each element with probability ``rate`` and rescale survivors."""
-    if not (0.0 <= rate < 1.0):
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
-        return x
-    if rng is None:
-        raise ValueError("training-mode dropout needs an explicit rng")
-    keep = rng.random(x.data.shape) >= rate
-    scale = 1.0 / (1.0 - rate)
-    out_data = x.data * keep * scale
-
-    def backward(g: np.ndarray) -> None:
-        x._accumulate(g * keep * scale)
-
-    return _result(out_data, (x,), backward)
 
 
 def softmax_with_temperature(logits: Tensor, temperature: float = 1.0) -> Tensor:

@@ -70,7 +70,7 @@ def test_criterion_1_gradient_suite():
     primitives = [
         (lambda: nn.softmax_cross_entropy(nn.matmul(a, b), labels3)[0], [a, b]),
         (lambda: nn.softmax_cross_entropy(nn.add(nn.matmul(a, b), bias), labels3)[0], [a, b, bias]),
-        (lambda: nn.softmax_cross_entropy(nn.relu(nn.matmul(a, b)), labels3)[0], [a, b]),
+        (lambda: nn.softmax_cross_entropy(nn.relu_dropout(nn.matmul(a, b)), labels3)[0], [a, b]),
         (lambda: nn.softmax_cross_entropy(nn.leaky_relu(nn.matmul(a, b), 0.2), labels3)[0], [a, b]),
         (lambda: nn.softmax_cross_entropy(nn.scalar_mul(nn.matmul(a, b), s), labels3)[0], [a, b, s]),
         (lambda: nn.softmax_cross_entropy(nn.concat_cols([nn.matmul(a, b), nn.matmul(a, b)]),
@@ -105,7 +105,7 @@ def test_criterion_1_gradient_suite():
             p.data = p.data + jitter.normal(0.0, 0.3, p.data.shape)
 
         def layer_loss():
-            logits = gnn_forward(model, h0, structure, training=False)
+            logits = gnn_forward(model, h0, structure)
             return nn.softmax_cross_entropy(logits, labels)[0]
 
         ok = ok and _fd_scalar_check(layer_loss, params)

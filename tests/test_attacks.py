@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from nn_oracles import use_oracle_tape
 
 from linklab.attacks import (
     ATTACK_SPECS,
@@ -199,6 +200,17 @@ class TestTrainAttack:
         for p1, p2 in zip(m1.parameters(), m2.parameters()):
             assert p1.data.tobytes() == p2.data.tobytes()
 
+    @pytest.mark.parametrize("rate", [0.5, 0.3])
+    def test_a8_parameters_match_two_op_oracle_tape(self, rate, pipeline, monkeypatch):
+        _, _, shadow, ds = pipeline
+        inputs = attack_dataset_inputs(spec_for("a8"), PosteriorTable(shadow, ds.graph),
+                                       ds.graph, ds.pairs)
+        model = train_attack("a8", inputs, ds.labels, seed=6, epochs=20, dropout_rate=rate)
+        use_oracle_tape(monkeypatch)
+        old = train_attack("a8", inputs, ds.labels, seed=6, epochs=20, dropout_rate=rate)
+        for p, q in zip(model.parameters(), old.parameters()):
+            assert p.data.tobytes() == q.data.tobytes()
+
 
 @pytest.fixture(scope="module")
 def model():
@@ -213,7 +225,7 @@ class TestInferLink:
 
     def test_equal_logits_half(self, model):
         # force the head to produce equal logits
-        logits = mlp_forward(model, {"posterior": np.zeros((1, 5))}, training=False)
+        logits = mlp_forward(model, {"posterior": np.zeros((1, 5))})
         delta = logits.data[0, 1] - logits.data[0, 0]
         probs = 1.0 / (1.0 + np.exp(-delta))
         score = link_scores(model, {"posterior": np.zeros((1, 5))})[0]
@@ -224,7 +236,7 @@ class TestInferLink:
         x = rng.normal(size=(50, 5))
         from linklab import nn as nnmod
 
-        logits = mlp_forward(model, {"posterior": x}, training=False)
+        logits = mlp_forward(model, {"posterior": x})
         probs = nnmod.softmax_with_temperature(logits, 1.0).data
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
         np.testing.assert_allclose(link_scores(model, {"posterior": x}), probs[:, 1], atol=1e-15)

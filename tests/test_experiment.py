@@ -233,7 +233,8 @@ class TestDefenseSweep:
             assert cli_main(["attack", "--defense", defense, "--epsilon", "2",
                              "--out", str(tmp_path / defense)] + flags) == 0
             summary = (tmp_path / defense / "summary.csv").read_text()
-            assert summary == f"attack,mean_auc\na9,{row[2]}\n"
+            assert row[0] == "a9"
+            assert summary == f"attack,mean_auc\na9,{row[3]}\n"
 
     def test_rejects_more_than_one_attack_before_loading(self, tmp_path):
         missing = str(tmp_path / "no-such-dataset")
@@ -335,6 +336,20 @@ class TestCli:
         assert (out / "target.ckpt").exists()
         assert "test accuracy" in capsys.readouterr().out
 
+    def test_train_verb_applies_the_defense(self, tmp_path):
+        flags = ["--arch", "gcn", "--seed", "2", "--epochs", "5", "--epsilon", "0.5"]
+        ckpt = {}
+        for defense in ("edgerand", "none"):
+            assert cli_main(["train", "--defense", defense, "--out", str(tmp_path / defense)]
+                            + flags) == 0
+            ckpt[defense] = (tmp_path / defense / "target.ckpt").read_bytes()
+            assert cli_main(["attack", "--defense", defense, "--runs", "1", "--attack", "a1",
+                             "--attack-epochs", "2", "--out", str(tmp_path / f"run-{defense}")]
+                            + flags) == 0
+            run0 = (tmp_path / f"run-{defense}" / "run0" / "target.ckpt").read_bytes()
+            assert ckpt[defense] == run0
+        assert ckpt["edgerand"] != ckpt["none"]
+
     def test_dataset_flag_round_trip(self, tmp_path, capsys):
         data_dir = tmp_path / "data"
         g = load_or_generate(small_cfg())
@@ -361,7 +376,9 @@ class TestCli:
         ])
         assert code == 0
         lines = (out / "sweep.csv").read_text().strip().split("\n")
-        assert lines[0] == "epsilon,target_accuracy,attack_auc"
+        assert lines[0] == "attack,epsilon,target_accuracy,attack_auc"
+        assert [line.split(",")[:2] for line in lines[1:]] == [["a1", "undefended"], ["a1", "5.0"]]
+        assert "a1 AUC" in capsys.readouterr().out
         assert len(lines) == 3  # undefended + one epsilon
 
     def test_transfer_verb(self, tmp_path, capsys):

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from nn_oracles import use_oracle_tape
 
 from linklab import gnn, nn
 from linklab.data import generate_planted_partition, make_splits
@@ -93,8 +94,7 @@ def oracle_layer(kind, params, h, adj):
     raise ValueError(kind)
 
 
-def aggregate_first_layer_forward(layer, h, structure, training=False, rng=None,
-                                  dropout_rate=0.5):
+def aggregate_first_layer_forward(layer, h, structure, rng=None, dropout_rate=0.0):
     """Every layer kind in the aggregate-then-project order: each aggregation
     runs at the input width, on every call. The oracle for layer_forward."""
     if layer.kind == "gcn":
@@ -103,17 +103,15 @@ def aggregate_first_layer_forward(layer, h, structure, training=False, rng=None,
         agg = nn.matmul(structure.mean_mat, h)
         out = nn.matmul(nn.concat_cols([h, agg]), layer.params["w"])
     elif layer.kind == "gat":
-        return layer_forward(layer, h, structure, training, rng, dropout_rate)
+        return layer_forward(layer, h, structure, rng, dropout_rate)
     elif layer.kind == "gin":
         summed = nn.add(nn.matmul(structure.sum_mat, h), nn.scalar_mul(h, layer.params["eps"]))
-        hidden = nn.relu(nn.add(nn.matmul(summed, layer.params["w1"]), layer.params["b1"]))
+        hidden = nn.relu_dropout(
+            nn.add(nn.matmul(summed, layer.params["w1"]), layer.params["b1"]))
         out = nn.add(nn.matmul(hidden, layer.params["w2"]), layer.params["b2"])
     else:
         raise ValueError(layer.kind)
-    out = nn.relu(out)
-    if training and dropout_rate > 0.0:
-        out = nn.dropout(out, dropout_rate, training=True, rng=rng)
-    return out
+    return nn.relu_dropout(out, dropout_rate, rng)
 
 
 PATH_EDGES = [(0, 1), (1, 2), (2, 3)]
@@ -238,7 +236,7 @@ class TestLayerGradients:
             checked = params + [h0] if h0.requires_grad else params
 
             def loss_fn():
-                logits = gnn_forward(model, h0, structure, training=False)
+                logits = gnn_forward(model, h0, structure)
                 loss, _ = nn.softmax_cross_entropy(logits, labels)
                 return loss
 
@@ -282,6 +280,17 @@ class TestModelAssembly:
         with pytest.raises(ValueError):
             init_gnn("gcnn", 3, 2, np.random.default_rng(0))
 
+    def test_dropout_reaches_the_hidden_layer_only(self):
+        model = init_gnn("sage", 3, 2, np.random.default_rng(0), hidden=8)
+        structure = MessageStructure(4, PATH_EDGES)
+        h0 = Tensor(np.random.default_rng(1).normal(size=(4, 3)))
+        rng, twin = np.random.default_rng(2), np.random.default_rng(2)
+        logits = gnn_forward(model, h0, structure, rng, 0.5)
+        hidden = layer_forward(model.layer1, h0, structure, twin, 0.5)
+        class_scores = layer_forward(model.layer2, hidden, structure)
+        assert logits.data.tobytes() == class_scores.data.tobytes()
+        assert rng.bit_generator.state == twin.bit_generator.state
+
 
 @pytest.fixture(scope="module")
 def planted_split():
@@ -313,6 +322,15 @@ class TestTraining:
         old = train_gnn(bundle.shadow_train, arch, seed=3, num_classes=g.num_classes, epochs=20)
         for p, q in zip(model.parameters(), old.parameters()):
             np.testing.assert_allclose(p.data, q.data, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_parameters_match_two_op_oracle_tape(self, arch, planted_split, monkeypatch):
+        g, bundle = planted_split
+        model = train_gnn(bundle.shadow_train, arch, seed=3, num_classes=g.num_classes, epochs=20)
+        use_oracle_tape(monkeypatch)
+        old = train_gnn(bundle.shadow_train, arch, seed=3, num_classes=g.num_classes, epochs=20)
+        for p, q in zip(model.parameters(), old.parameters()):
+            assert p.data.tobytes() == q.data.tobytes()
 
     @pytest.mark.parametrize("arch", ("gcn", "sage", "gin"))
     def test_feature_aggregation_runs_once_per_training(self, arch, planted_split, monkeypatch):

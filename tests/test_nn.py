@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from nn_oracles import relu_then_dropout
 
 from linklab import nn
 from linklab.nn import Adam, Parameter, Tensor
@@ -164,22 +167,32 @@ class TestCosineAnneal:
 class TestDropout:
     def test_rate_zero_identity(self):
         x = Tensor(np.ones((3, 3)))
-        out = nn.dropout(x, 0.0, training=True, rng=np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        out = nn.relu_dropout(x, 0.0, rng=rng)
         np.testing.assert_array_equal(out.data, x.data)
+        assert rng.bit_generator.state == state
 
     def test_inference_identity(self):
+        # the default rate is the inference setting: plain ReLU, no rng
         x = Tensor(np.ones((3, 3)))
-        out = nn.dropout(x, 0.9, training=False)
+        out = nn.relu_dropout(x)
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_rejects_rate_one(self):
         with pytest.raises(ValueError):
-            nn.dropout(Tensor(np.ones(3)), 1.0, training=True, rng=np.random.default_rng(0))
+            nn.relu_dropout(Tensor(np.ones(3)), 1.0, rng=np.random.default_rng(0))
+
+    def test_rejects_bad_rate_or_missing_rng(self):
+        with pytest.raises(ValueError, match=r"dropout rate must be in \[0, 1\), got -0.1"):
+            nn.relu_dropout(Tensor(np.ones(3)), -0.1)
+        with pytest.raises(ValueError, match="training-mode dropout needs an explicit rng"):
+            nn.relu_dropout(Tensor(np.ones(3)), 0.5)
 
     def test_statistics(self):
         rng = np.random.default_rng(11)
         x = Tensor(np.ones((100, 1000)))
-        out = nn.dropout(x, 0.5, training=True, rng=rng)
+        out = nn.relu_dropout(x, 0.5, rng=rng)
         kept = np.count_nonzero(out.data) / out.data.size
         assert abs(kept - 0.5) < 0.01
         assert abs(out.data.mean() - 1.0) < 0.02
@@ -187,12 +200,47 @@ class TestDropout:
     def test_backward_respects_mask(self):
         rng = np.random.default_rng(12)
         x = Parameter(np.ones((4, 4)))
-        out = nn.dropout(x, 0.5, training=True, rng=rng)
+        out = nn.relu_dropout(x, 0.5, rng=rng)
         loss = nn.matmul(nn.matmul(Tensor(np.ones((1, 4))), out), Tensor(np.ones((4, 1))))
         loss.backward()
         mask = out.data != 0.0
         np.testing.assert_allclose(x.grad[mask], 2.0)
         np.testing.assert_allclose(x.grad[~mask], 0.0)
+
+
+# finite values with exact and signed zeros mixed in, so the ReLU kink and
+# the sign of every zero are exercised
+_values = st.one_of(st.sampled_from([0.0, -0.0]),
+                    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+
+
+def _chain_gradient(out, g):
+    """Push ``g`` from ``out`` down a chain of one-parent ops; returns the
+    gradient that reaches the chain's leaf."""
+    node, grad = out, g
+    while node._backward is not None:
+        node._backward(grad)
+        node = node._parents[0]
+        grad = node.grad
+    return grad
+
+
+class TestReluDropoutOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 6), cols=st.integers(1, 6),
+           rate=st.sampled_from([0.0, 0.3, 0.5]), seed=st.integers(0, 2**32 - 1))
+    def test_bitwise_equal_to_relu_then_dropout(self, data, rows, cols, rate, seed):
+        shape = (rows, cols)
+        x = np.array(data.draw(st.lists(_values, min_size=rows * cols, max_size=rows * cols)))
+        g = np.array(data.draw(st.lists(_values, min_size=rows * cols, max_size=rows * cols)))
+        x, g = x.reshape(shape), g.reshape(shape)
+        g.setflags(write=False)
+        results = []
+        for op in (nn.relu_dropout, relu_then_dropout):
+            leaf = Parameter(x.copy())
+            out = op(leaf, rate, np.random.default_rng(seed))
+            results.append((out.data.tobytes(), _chain_gradient(out, g).tobytes()))
+        assert results[0] == results[1]
 
 
 class TestGradientSuite:
@@ -220,7 +268,8 @@ class TestGradientSuite:
         rng = np.random.default_rng(23)
         a = Parameter(rng.normal(size=(3, 4)) + 0.2)
         labels = rng.integers(0, 4, size=3)
-        finite_difference_check(lambda: nn.softmax_cross_entropy(nn.relu(a), labels)[0], [a])
+        finite_difference_check(lambda: nn.softmax_cross_entropy(nn.relu_dropout(a), labels)[0],
+                                [a])
 
     def test_leaky_relu(self):
         rng = np.random.default_rng(24)
@@ -291,6 +340,65 @@ class TestGradientSuite:
             lambda: nn.softmax_cross_entropy(nn.softmax_with_temperature(logits, 3.0), labels)[0],
             [logits],
         )
+
+
+def _apply(op, *arrays):
+    params = [Parameter(a) for a in arrays]
+    return op(*params), params
+
+
+_MASK = np.array([[True, True, False], [True, True, True], [False, True, True]])
+
+# Every op of the gradient suite, applied to fresh parameters drawn from
+# the given rng: name -> (output, differentiable inputs).
+_SUITE_OPS = {
+    "matmul": lambda r: _apply(nn.matmul, r.normal(size=(3, 4)), r.normal(size=(4, 2))),
+    "add": lambda r: _apply(nn.add, r.normal(size=(3, 4)), r.normal(size=(3, 4))),
+    "add_bias": lambda r: _apply(nn.add, r.normal(size=(3, 4)), r.normal(size=4)),
+    "relu_dropout": lambda r: _apply(
+        lambda x: nn.relu_dropout(x, 0.5, np.random.default_rng(1)), r.normal(size=(3, 4))),
+    "leaky_relu": lambda r: _apply(nn.leaky_relu, r.normal(size=(3, 4))),
+    "scalar_mul": lambda r: _apply(nn.scalar_mul, r.normal(size=(3, 4)), r.normal(size=1)),
+    "concat_cols": lambda r: _apply(lambda a, b: nn.concat_cols([a, b]),
+                                    r.normal(size=(3, 2)), r.normal(size=(3, 3))),
+    "row_slice": lambda r: _apply(lambda w: nn.row_slice(w, 1, 3), r.normal(size=(5, 3))),
+    "outer_sum": lambda r: _apply(nn.outer_sum, r.normal(size=(3, 1)), r.normal(size=(3, 1))),
+    "masked_row_softmax": lambda r: _apply(lambda x: nn.masked_row_softmax(x, _MASK),
+                                           r.normal(size=(3, 3))),
+    "softmax_with_temperature": lambda r: _apply(lambda x: nn.softmax_with_temperature(x, 3.0),
+                                                 r.normal(size=(3, 4))),
+    "softmax_cross_entropy": lambda r: _apply(
+        lambda x: nn.softmax_cross_entropy(x, [0, 2, 1])[0], r.normal(size=(3, 3))),
+}
+
+
+class TestGradientAliasing:
+    """The first gradient a tensor receives is kept as given, not copied,
+    so no backward may write into its incoming array."""
+
+    @pytest.mark.parametrize("name", sorted(_SUITE_OPS))
+    def test_backward_reads_a_read_only_gradient(self, name):
+        out, _ = _SUITE_OPS[name](np.random.default_rng(30))
+        g = np.random.default_rng(31).normal(size=out.data.shape)
+        grads = []
+        for incoming in (g.copy(), g):
+            out, params = _SUITE_OPS[name](np.random.default_rng(30))
+            if incoming is g:
+                g.setflags(write=False)
+            out._backward(incoming)
+            grads.append([p.grad.tobytes() for p in params])
+        assert grads[0] == grads[1]
+
+    def test_shared_gradient_survives_accumulation(self):
+        a, b = Parameter(np.zeros((2, 2))), Parameter(np.zeros((2, 2)))
+        g = np.arange(4.0).reshape(2, 2)
+        g.setflags(write=False)
+        nn.add(a, b)._backward(g)
+        assert a.grad is g and b.grad is g
+        a._accumulate(np.ones((2, 2)))
+        assert b.grad is g
+        np.testing.assert_array_equal(g, np.arange(4.0).reshape(2, 2))
+        np.testing.assert_array_equal(a.grad, g + 1.0)
 
 
 class TestNumericGuards:
