@@ -65,7 +65,11 @@ class Graph:
         if outside.any():
             u, v = pairs[outside][0]
             raise ValueError(f"edge ({u}, {v}) references an invalid node id")
-        u, v = np.divmod(np.unique(pairs.min(axis=1) * n + pairs.max(axis=1)), n)
+        keys = pairs.min(axis=1) * n + pairs.max(axis=1)
+        # already sorted and unique, as cell_pairs output is: skip the sort
+        if not (keys[1:] > keys[:-1]).all():
+            keys = np.unique(keys)
+        u, v = np.divmod(keys, n)
         # CSR: both directions of every edge, a self-loop once
         loop = u == v
         src = np.concatenate([u, v[~loop]])
@@ -237,11 +241,16 @@ def load_dataset(directory: str) -> LoadedDataset:
 
     Expects ``features.csv`` (one comma-separated row per node),
     ``labels.csv`` (one integer per line), and ``edges.tsv`` (two integer
-    columns per line). Directed duplicates are symmetrized. Node identity
-    comes from feature-row order; when edge endpoints are not already in
-    ``[0, n)`` the sorted unique endpoint ids are remapped onto it.
+    columns per line). Feature values must be finite. Directed duplicates
+    are symmetrized. Node identity comes from feature-row order; when edge
+    endpoints are not already in ``[0, n)`` the sorted unique endpoint ids
+    are remapped onto it.
     """
     features = np.loadtxt(os.path.join(directory, "features.csv"), delimiter=",", ndmin=2, dtype=np.float64)
+    bad_rows = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad_rows.size:
+        row = int(bad_rows[0])
+        raise ValueError(f"features.csv row {row} (line {row + 1}) holds a non-finite value")
     raw_labels = np.loadtxt(os.path.join(directory, "labels.csv"), ndmin=1)
     labels = raw_labels.astype(np.int64)
     if not np.array_equal(labels, raw_labels):

@@ -10,16 +10,11 @@ import numpy as np
 def average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties assigned their average rank."""
     values = np.asarray(values, dtype=np.float64)
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(len(values), dtype=np.float64)
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    # each run of ties fills the sorted positions i..j, 0-based
+    j = np.cumsum(counts) - 1
+    i = j - counts + 1
+    return ((i + j) / 2.0 + 1.0)[inverse]
 
 
 def auc(scores: np.ndarray, labels: np.ndarray) -> float:

@@ -104,6 +104,32 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(out_data, (a, b), backward)
 
 
+def csr_row_sum(z: Tensor, indptr: np.ndarray, indices: np.ndarray,
+                deg: np.ndarray | None = None) -> Tensor:
+    """``A @ z`` for a symmetric 0/1 matrix ``A`` held as CSR rows: row ``i``
+    sums ``z`` over ``indices[indptr[i]:indptr[i + 1]]``, then is divided by
+    ``deg[i]`` when ``deg`` is given. Every row must be non-empty.
+
+    As ``A`` is symmetric, the backward is the same row sum of ``g / deg``.
+    """
+    if z.data.ndim != 2 or z.data.shape[0] != len(indptr) - 1:
+        raise ValueError(f"csr_row_sum expects {len(indptr) - 1} rows, got {z.data.shape}")
+    starts = indptr[:-1]
+    scale = None if deg is None else deg[:, None]
+
+    def row_sum(x: np.ndarray) -> np.ndarray:
+        return np.add.reduceat(np.take(x, indices, axis=0), starts, axis=0)
+
+    out_data = row_sum(z.data)
+    if scale is not None:
+        out_data /= scale
+
+    def backward(g: np.ndarray) -> None:
+        z._accumulate(row_sum(g if scale is None else g / scale))
+
+    return _result(out_data, (z,), backward)
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise addition; ``b`` may be a 1-D bias matching ``a``'s columns."""
     bias = a.data.ndim == 2 and b.data.ndim == 1

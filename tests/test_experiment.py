@@ -360,6 +360,17 @@ class TestCli:
         ])
         assert code == 0
 
+    def test_dataset_with_non_finite_feature_fails_at_load(self, tmp_path):
+        data_dir = tmp_path / "data"
+        save_dataset(load_or_generate(small_cfg()), str(data_dir))
+        rows = (data_dir / "features.csv").read_text().splitlines()
+        rows[-1] = ",".join(["nan"] + rows[-1].split(",")[1:])
+        (data_dir / "features.csv").write_text("\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match=rf"^features\.csv row {len(rows) - 1} "):
+            cli_main(["attack", "--dataset", str(data_dir), "--runs", "1", "--attack", "a1",
+                      "--epochs", "2", "--attack-epochs", "2", "--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
+
     def test_report_verb(self, tmp_path):
         rep = run_experiment(small_cfg(runs=2))
         write_reports(rep, str(tmp_path))

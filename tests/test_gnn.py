@@ -4,6 +4,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from gnn_oracles import DenseMessageStructure
+from graph_oracles import raw_graphs
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from nn_oracles import use_oracle_tape
 
 from linklab import gnn, nn
@@ -117,6 +121,15 @@ def aggregate_first_layer_forward(layer, h, structure, rng=None, dropout_rate=0.
 PATH_EDGES = [(0, 1), (1, 2), (2, 3)]
 
 
+def csr_structure(n, edges):
+    """A MessageStructure on the CSR path whatever its density."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(gnn, "SPARSE_RATIO", 0)
+        structure = MessageStructure(n, edges)
+    assert structure.indptr is not None and structure.mean_mat is None
+    return structure
+
+
 def loop_adjacency(n, edges):
     """Per-edge construction of the self-looped boolean adjacency."""
     adj = np.zeros((n, n), dtype=bool)
@@ -161,6 +174,98 @@ class TestMessageStructure:
         writable = Tensor(np.ones((3, 2)))
         assert structure.fixed_aggregate("mean", writable) is not structure.fixed_aggregate(
             "mean", writable)
+
+
+class TestCsrAggregation:
+    def test_path_follows_entry_count(self):
+        # 128 nodes take CSR rows below 128 * 128 / 64 = 256 entries
+        n = 128
+        chain = [(i, i + 1) for i in range(63)]
+        for edges, sparse in ((chain, True), (chain + [(5, 5)], True),
+                              (chain + [(63, 64)], False)):
+            structure = MessageStructure(n, edges)
+            assert (structure.indptr is not None) == sparse
+            if sparse:
+                assert structure.mean_mat is None and structure.sum_mat is None
+                assert structure._mask is None
+            else:
+                assert structure.mean_mat.data.shape == (n, n) and structure.indptr is None
+        assert MessageStructure(64, []).indptr is None
+        assert MessageStructure(65, []).indptr is not None
+
+    @settings(max_examples=80, deadline=None)
+    @given(raw_graphs(), st.sampled_from(("gcn", "sage", "gin")), st.integers(0, 2**32 - 1))
+    def test_matches_dense_oracle(self, drawn, kind, seed):
+        n, raw = drawn
+        if n == 0:
+            return
+        sparse, dense = csr_structure(n, raw), DenseMessageStructure(n, raw)
+        assert sparse.mask.tobytes() == dense.mask.tobytes()
+        np.testing.assert_array_equal(sparse.deg, dense.mask.sum(axis=1))
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, 3))
+        labels = rng.integers(0, 3, size=n)
+
+        def outputs_and_gradients(structure, forward, tensors):
+            def loss_fn():
+                loss, _ = nn.softmax_cross_entropy(forward(structure), labels)
+                return loss
+            return [forward(structure).data] + gradients(loss_fn, tensors)
+
+        def assert_same(forward, tensors):
+            got = outputs_and_gradients(sparse, forward, tensors)
+            want = outputs_and_gradients(dense, forward, tensors)
+            for a, b in zip(got, want):
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+        for op in ("mean", "sum"):
+            z = Parameter(x)
+            assert_same(lambda s: s.aggregate(op, z), [z])
+            assert_same(lambda s: s.fixed_aggregate(op, Tensor(x)), [])
+        layer = init_gnn(kind, 3, 3, rng, hidden=3).layer1
+        for p in layer.parameters():
+            p.data = p.data + rng.normal(0.0, 0.3, p.data.shape)
+        for h in (Tensor(x), Parameter(x)):
+            tensors = layer.parameters() + ([h] if h.requires_grad else [])
+            assert_same(lambda s: layer_forward(layer, h, s), tensors)
+
+    def test_gat_matches_dense_structure(self):
+        rng = np.random.default_rng(33)
+        n = 300
+        edges = [(i, (i + 1) % n) for i in range(n)] + [(i, (7 * i) % n) for i in range(0, n, 10)]
+        sparse, dense = MessageStructure(n, edges), DenseMessageStructure(n, edges)
+        assert sparse.indptr is not None and sparse._mask is None
+        model = init_gnn("gat", 4, 3, rng, hidden=8)
+        x = rng.normal(size=(n, 4))
+        labels = rng.integers(0, 3, size=n)
+        results = []
+        for structure in (sparse, dense):
+            h0 = Parameter(x)
+
+            def loss_fn():
+                loss, _ = nn.softmax_cross_entropy(gnn_forward(model, h0, structure), labels)
+                return loss
+
+            grads = gradients(loss_fn, model.parameters() + [h0])
+            results.append([gnn_forward(model, h0, structure).data] + grads)
+        assert sparse._mask is not None
+        for a, b in zip(*results):
+            assert a.tobytes() == b.tobytes()
+
+    def test_feature_aggregation_runs_once_on_csr_rows(self, planted_split, monkeypatch):
+        g, bundle = planted_split
+        fixed_rows = []
+        row_sum = nn.csr_row_sum
+
+        def counting_row_sum(z, *args):
+            if not z.requires_grad:
+                fixed_rows.append(z.data.shape)
+            return row_sum(z, *args)
+
+        monkeypatch.setattr(nn, "csr_row_sum", counting_row_sum)
+        monkeypatch.setattr(gnn, "SPARSE_RATIO", 0)
+        train_gnn(bundle.shadow_train, "sage", seed=3, num_classes=g.num_classes, epochs=7)
+        assert fixed_rows == [(bundle.shadow_train.num_nodes, g.feature_dim)]
 
 
 class TestLayerForwardOracles:
@@ -249,19 +354,44 @@ class TestLayerGradients:
                 assert abs(float(loss_fn().data) - old_loss) <= 1e-12
                 for ana, ref in zip(analytic, old):
                     np.testing.assert_allclose(ana, ref, rtol=0, atol=1e-12)
-            h = 1e-5
-            for p, ana in zip(checked, analytic):
-                flat = p.data.reshape(-1)
-                for i in range(flat.size):
-                    orig = flat[i]
-                    flat[i] = orig + h
-                    hi = float(loss_fn().data)
-                    flat[i] = orig - h
-                    lo = float(loss_fn().data)
-                    flat[i] = orig
-                    numeric = (hi - lo) / (2 * h)
-                    denom = max(abs(numeric), 1.0)
-                    assert abs(ana.reshape(-1)[i] - numeric) / denom < 1e-4
+            assert_finite_differences(loss_fn, checked, analytic)
+
+    @pytest.mark.parametrize("kind", ARCHITECTURES)
+    def test_finite_difference_on_csr_rows(self, kind):
+        rng = np.random.default_rng(32)
+        model = init_gnn(kind, 3, 2, rng, hidden=4)
+        structure = csr_structure(6, PATH_EDGES + [(0, 2), (3, 5)])
+        x = rng.normal(size=(6, 3))
+        labels = rng.integers(0, 2, size=6)
+        params = model.parameters()
+        for p in params:
+            p.data = p.data + rng.normal(0.0, 0.3, p.data.shape)
+        for h0 in (Tensor(x), Parameter(x)):
+            checked = params + [h0] if h0.requires_grad else params
+
+            def loss_fn():
+                logits = gnn_forward(model, h0, structure)
+                loss, _ = nn.softmax_cross_entropy(logits, labels)
+                return loss
+
+            assert_finite_differences(loss_fn, checked, gradients(loss_fn, checked))
+
+
+def assert_finite_differences(loss_fn, checked, analytic, h=1e-5):
+    """Central differences of ``loss_fn()`` in every entry of ``checked``
+    agree with ``analytic`` to a relative 1e-4."""
+    for p, ana in zip(checked, analytic):
+        flat = p.data.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            hi = float(loss_fn().data)
+            flat[i] = orig - h
+            lo = float(loss_fn().data)
+            flat[i] = orig
+            numeric = (hi - lo) / (2 * h)
+            denom = max(abs(numeric), 1.0)
+            assert abs(ana.reshape(-1)[i] - numeric) / denom < 1e-4
 
 
 class TestModelAssembly:

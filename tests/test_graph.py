@@ -260,6 +260,14 @@ class TestDatasetIo:
         with pytest.raises(ValueError):
             load_dataset(str(tmp_path))
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite_features(self, tmp_path, bad):
+        (tmp_path / "edges.tsv").write_text("0\t1\n")
+        (tmp_path / "features.csv").write_text(f"1.0,2.0\n3.0,4.0\n5.0,{bad}\n{bad},1.0\n")
+        (tmp_path / "labels.csv").write_text("0\n1\n0\n1\n")
+        with pytest.raises(ValueError, match=r"features\.csv row 2 \(line 3\) holds a non-finite"):
+            load_dataset(str(tmp_path))
+
     def test_remaps_sparse_labels(self, tmp_path):
         (tmp_path / "edges.tsv").write_text("0\t1\n")
         (tmp_path / "features.csv").write_text("1.0\n2.0\n")
@@ -287,9 +295,12 @@ class TestCsrCore:
             from_csr |= {normalize_edge(v, w) for w in row}
         assert sorted(from_csr) == expected
         assert len(g.indices) == 2 * len(expected) - sum(u == v for u, v in expected)
-        again = Graph(num_nodes=n, edges=g.edges, features=g.features, labels=g.labels)
-        np.testing.assert_array_equal(again.indptr, g.indptr)
-        np.testing.assert_array_equal(again.indices, g.indices)
+        # stored input, which skips the sort, and unsorted or repeated input,
+        # which does not, all store the same arrays bit for bit
+        for given in (g.edges, g.edges[::-1, ::-1], np.repeat(g.edges, 2, axis=0)):
+            again = Graph(num_nodes=n, edges=given, features=g.features, labels=g.labels)
+            for name in ("edges", "indptr", "indices"):
+                assert getattr(again, name).tobytes() == getattr(g, name).tobytes()
         for u in range(n):
             for v in range(n):
                 assert g.has_edge(u, v) == (normalize_edge(u, v) in from_csr)

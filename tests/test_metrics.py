@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linklab.metrics import (
     accuracy,
@@ -13,6 +15,33 @@ from linklab.metrics import (
     robustness_groups,
     surprising_links,
 )
+
+
+def average_ranks_loop_oracle(values):
+    """The Python loop ``average_ranks`` replaced: walk the stable sort and
+    give each run of ties, positions i..j, the rank ``(i + j) / 2 + 1``."""
+    values = np.asarray(values, dtype=np.float64)
+    order = np.argsort(values, kind="mergesort")
+    ranks = np.empty(len(values), dtype=np.float64)
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+def auc_with_ranks(scores, labels, ranks):
+    num_pos = int((labels == 1).sum())
+    num_neg = len(labels) - num_pos
+    return float((ranks[labels == 1].sum() - num_pos * (num_pos + 1) / 2.0)
+                 / (num_pos * num_neg))
+
+
+# few distinct values, so ties are common; -0.0 and 0.0 tie with each other
+tied_scores = st.lists(st.sampled_from([-0.0, 0.0, 0.5, -1.5, 1e-300, 2.0, 3.25]), max_size=60)
 
 
 def auc_pair_count_oracle(scores, labels):
@@ -69,6 +98,24 @@ class TestAuc:
         labels = rng.integers(0, 2, size=80)
         labels[0], labels[1] = 0, 1
         assert auc(scores, labels) + auc(scores, 1 - labels) == pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(tied_scores, st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                           max_size=60)), st.data())
+    def test_ranks_and_auc_bitwise_equal_to_loop(self, values, data):
+        values = np.array(values, dtype=np.float64)
+        ranks = average_ranks(values)
+        assert ranks.dtype == np.float64 and ranks.shape == values.shape
+        assert ranks.tobytes() == average_ranks_loop_oracle(values).tobytes()
+        labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=len(values),
+                                             max_size=len(values))), dtype=np.int64)
+        if 0 < labels.sum() < len(labels):
+            want = auc_with_ranks(values, labels, average_ranks_loop_oracle(values))
+            assert np.float64(auc(values, labels)).tobytes() == np.float64(want).tobytes()
+
+    def test_average_ranks_signed_zeros_tie(self):
+        np.testing.assert_array_equal(average_ranks(np.array([0.0, -0.0, 1.0, -0.0])),
+                                      [2.0, 2.0, 4.0, 2.0])
 
     def test_average_ranks_ties(self):
         np.testing.assert_array_equal(average_ranks(np.array([10.0, 20.0, 20.0, 30.0])),
