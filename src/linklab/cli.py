@@ -117,22 +117,24 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    if args.epsilon is not None:
+        raise SystemExit("sweep takes its privacy budgets from --epsilons, not --epsilon")
     mapping = _merged_mapping(args)
     out = mapping.pop("out", None)
     epsilons_text = args.epsilons or mapping.pop("epsilons", None)
     if epsilons_text is None:
         raise SystemExit("sweep needs --epsilons, e.g. --epsilons 1,2,5,10")
-    mapping.pop("epsilon", None)
     mapping.setdefault("defense", "edgerand")
     mapping["epsilon"] = "1.0"  # placeholder; the sweep substitutes each value
     cfg = config_from_mapping(mapping)
     epsilons = [float(e) for e in str(epsilons_text).split(",") if e.strip()]
     sweep = run_defense_sweep(cfg, epsilons)
-    name = sweep.attack_id
-    print(f"undefended: accuracy {sweep.undefended_accuracy:.4f}, "
-          f"{name} AUC {sweep.undefended_auc:.4f}")
-    for eps, acc, a in zip(sweep.epsilons, sweep.target_accuracies, sweep.attack_aucs):
-        print(f"epsilon {eps:g}: accuracy {acc:.4f}, {name} AUC {a:.4f}")
+    points = [("undefended", sweep.undefended_accuracy, sweep.undefended_auc)] + [
+        (f"epsilon {eps:g}", acc, {name: aucs[i] for name, aucs in sweep.attack_aucs.items()})
+        for i, (eps, acc) in enumerate(zip(sweep.epsilons, sweep.target_accuracies))]
+    for label, acc, aucs in points:
+        print(f"{label}: accuracy {acc:.4f}, "
+              + ", ".join(f"{name} AUC {a:.4f}" for name, a in aucs.items()))
     if out:
         write_sweep_report(sweep, out)
         print(f"sweep written to {out}")

@@ -2,8 +2,7 @@
 
 The source graph is halved by node count into disjoint target and shadow
 datasets (cross-half edges dropped), each of which is split 8:2 into train
-and test node sets. Pair datasets pin their provenance so the pipeline can
-assert that attack training data only ever comes from the shadow side.
+and test node sets.
 """
 
 from __future__ import annotations
@@ -94,14 +93,13 @@ class PairDataset:
     pairs: np.ndarray
     labels: np.ndarray
     graph: Graph
-    provenance: str
 
     def __post_init__(self):
         self.pairs.setflags(write=False)
         self.labels.setflags(write=False)
 
 
-def build_pair_dataset(g: Graph, seed: int, provenance: str = "unspecified") -> PairDataset:
+def build_pair_dataset(g: Graph, seed: int) -> PairDataset:
     """All edges as positives plus an equal number of sampled non-edges."""
     positives = g.edges[g.edges[:, 0] != g.edges[:, 1]]
     if not len(positives):
@@ -134,19 +132,7 @@ def build_pair_dataset(g: Graph, seed: int, provenance: str = "unspecified") -> 
     pairs = np.concatenate([positives, np.array(negatives, dtype=np.int64)])
     labels = np.repeat(np.array([1, 0], dtype=np.int64), needed)
     order = stream(seed, "pair-shuffle").permutation(len(pairs))
-    return PairDataset(pairs=pairs[order], labels=labels[order], graph=g, provenance=provenance)
-
-
-def enforce_attack_provenance(train_set: PairDataset, test_set: PairDataset) -> None:
-    """Attack training data must come from the shadow side, testing from the target."""
-    if train_set.provenance != "shadow_train":
-        raise ValueError(
-            f"attack training pairs must derive from shadow_train, got {train_set.provenance!r}"
-        )
-    if test_set.provenance != "target_train":
-        raise ValueError(
-            f"attack testing pairs must derive from target_train, got {test_set.provenance!r}"
-        )
+    return PairDataset(pairs=pairs[order], labels=labels[order], graph=g)
 
 
 def generate_planted_partition(n: int, communities: int, p_in: float, p_out: float,

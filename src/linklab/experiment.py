@@ -29,7 +29,6 @@ from .data import (
     PairDataset,
     SplitBundle,
     build_pair_dataset,
-    enforce_attack_provenance,
     generate_planted_partition,
     make_splits,
     write_split_manifest,
@@ -147,7 +146,6 @@ class RunArtifacts:
     shadow: TrainedGnn
     attack_train: PairDataset
     attack_test: PairDataset
-    attack_models: dict[str, MultiInputMlp]
     test_inputs: dict[str, dict[str, np.ndarray]]
     scores: dict[str, np.ndarray]
     target_posteriors: dict[str, np.ndarray]
@@ -206,97 +204,73 @@ def train_target(cfg: ExperimentConfig, target_train: Graph, num_classes: int,
         )
 
 
-def _single_run(cfg: ExperimentConfig, graph: Graph, shadow_cfg: ExperimentConfig,
-                shadow_graph: Graph, run_idx: int, transfer: bool, keep: bool):
-    """One seeded pipeline pass; returns (aucs, target_acc, shadow_acc, artifacts).
+def _shadow_side(cfg: ExperimentConfig, shadow_train: Graph, shadow_test: Graph,
+                 num_classes: int, run_seed: int, transfer: bool):
+    """Train the shadow GNN and one attack classifier per active attack.
 
-    The shadow side shares the target's split when ``shadow_graph is graph``.
+    Returns (shadow GNN, its test accuracy, attack-training pairs,
+    classifiers). The target half is not an argument, so attack training
+    sees shadow-side data only. Nothing here reads a DP defense's budget.
     """
-    run_seed = cfg.seed + run_idx
-    attacks = cfg.active_attacks()
-
-    with _stage("split"):
-        bundle = make_splits(graph, derive_seed(run_seed, "split"), cfg.shadow_fraction)
-        shadow_bundle = bundle if shadow_graph is graph else make_splits(
-            shadow_graph, derive_seed(run_seed, "split-shadow"), shadow_cfg.shadow_fraction
-        )
-
-    defense = cfg.defense
-    target = train_target(cfg, bundle.target_train, graph.num_classes, run_seed)
     with _stage("shadow-train"):
         shadow = train_gnn(
-            shadow_bundle.shadow_train, cfg.shadow_arch, derive_seed(run_seed, "shadow-train"),
-            num_classes=shadow_graph.num_classes, hidden=cfg.hidden, epochs=cfg.epochs,
+            shadow_train, cfg.shadow_arch, derive_seed(run_seed, "shadow-train"),
+            num_classes=num_classes, hidden=cfg.hidden, epochs=cfg.epochs,
             learning_rate=cfg.learning_rate, dropout_rate=cfg.dropout,
         )
-
     with _stage("pair-sampling"):
-        attack_train = build_pair_dataset(
-            shadow_bundle.shadow_train, derive_seed(run_seed, "attack-train-pairs"),
-            provenance="shadow_train",
-        )
-        attack_test = build_pair_dataset(
-            bundle.target_train, derive_seed(run_seed, "attack-test-pairs"),
-            provenance="target_train",
-        )
-        enforce_attack_provenance(attack_train, attack_test)
-
-    target_acc = evaluate_accuracy(target, bundle.target_test)
-    shadow_acc = evaluate_accuracy(shadow, shadow_bundle.shadow_test)
-
-    temperature = query_temperature(defense)
-    shadow_table = PosteriorTable(shadow, attack_train.graph, temperature)
-    target_table = PosteriorTable(target, attack_test.graph, temperature)
-
-    aucs: dict[str, float] = {}
+        attack_train = build_pair_dataset(shadow_train, derive_seed(run_seed, "attack-train-pairs"))
+    table = PosteriorTable(shadow, shadow_train, query_temperature(cfg.defense))
     models: dict[str, MultiInputMlp] = {}
-    score_map: dict[str, np.ndarray] = {}
-    inputs_map: dict[str, dict[str, np.ndarray]] = {}
-    posterior_map: dict[str, np.ndarray] = {}
-    for attack_id in attacks:
-        spec = spec_for(attack_id)
-        if spec.uses_node_attrs and graph.feature_dim != shadow_graph.feature_dim:
-            raise ValueError(
-                f"{attack_id} needs matching attribute dims for transfer, "
-                f"got {graph.feature_dim} vs {shadow_graph.feature_dim}"
-            )
+    for attack_id in cfg.active_attacks():
         with _stage(f"attack-{attack_id}"):
-            train_inputs = attack_dataset_inputs(
-                spec, shadow_table, attack_train.graph, attack_train.pairs, defense=defense,
-                transfer=transfer, pairwise=cfg.pairwise,
+            inputs = attack_dataset_inputs(
+                spec_for(attack_id), table, shadow_train, attack_train.pairs,
+                defense=cfg.defense, transfer=transfer, pairwise=cfg.pairwise,
             )
-            attack_model = train_attack(
-                attack_id, train_inputs, attack_train.labels,
+            models[attack_id] = train_attack(
+                attack_id, inputs, attack_train.labels,
                 derive_seed(run_seed, "attack-train", attack_id),
                 epochs=cfg.attack_epochs, learning_rate=cfg.learning_rate,
                 dropout_rate=cfg.dropout,
             )
-            test_inputs = attack_dataset_inputs(
-                spec, target_table, attack_test.graph, attack_test.pairs, defense=defense,
+    return shadow, evaluate_accuracy(shadow, shadow_test), attack_train, models
+
+
+def _target_side(cfg: ExperimentConfig, bundle: SplitBundle, num_classes: int, run_seed: int,
+                 transfer: bool, models: dict[str, MultiInputMlp], keep: bool):
+    """Train the target under ``cfg.defense`` and score ``models`` on pairs
+    drawn from the unperturbed target half.
+
+    Returns (AUC per attack, target test accuracy, and the target-side
+    ``RunArtifacts`` fields if ``keep``, else None).
+    """
+    target = train_target(cfg, bundle.target_train, num_classes, run_seed)
+    with _stage("pair-sampling"):
+        attack_test = build_pair_dataset(bundle.target_train,
+                                         derive_seed(run_seed, "attack-test-pairs"))
+    table = PosteriorTable(target, bundle.target_train, query_temperature(cfg.defense))
+    aucs, scores, inputs, posteriors = {}, {}, {}, {}
+    for attack_id, model in models.items():
+        spec = spec_for(attack_id)
+        with _stage(f"attack-{attack_id}"):
+            inputs[attack_id] = attack_dataset_inputs(
+                spec, table, bundle.target_train, attack_test.pairs, defense=cfg.defense,
                 transfer=transfer, pairwise=cfg.pairwise,
             )
-            scores = link_scores(attack_model, test_inputs)
-            aucs[attack_id] = auc(scores, attack_test.labels)
-        if keep:
-            models[attack_id] = attack_model
-            score_map[attack_id] = scores
-            inputs_map[attack_id] = test_inputs
-            if spec.uses_posteriors and defense.kind != "label_only":
-                # cached queries; the leading-probability CDF ignores row order
-                posterior_map[attack_id] = np.vstack(
-                    target_table.pair_posteriors(attack_test.pairs, spec.hop))
-
-    artifacts = None
-    if keep:
-        artifacts = RunArtifacts(
-            bundle=bundle, target=target, shadow=shadow,
-            attack_train=attack_train, attack_test=attack_test,
-            attack_models=models, test_inputs=inputs_map, scores=score_map,
-            target_posteriors=posterior_map,
-            posterior_columns=posterior_columns(target.num_classes, defense, transfer,
-                                                cfg.pairwise),
-        )
-    return aucs, target_acc, shadow_acc, artifacts
+            scores[attack_id] = link_scores(model, inputs[attack_id])
+            aucs[attack_id] = auc(scores[attack_id], attack_test.labels)
+        if keep and spec.uses_posteriors and cfg.defense.kind != "label_only":
+            # cached queries; the leading-probability CDF ignores row order
+            posteriors[attack_id] = np.vstack(table.pair_posteriors(attack_test.pairs, spec.hop))
+    target_acc = evaluate_accuracy(target, bundle.target_test)
+    if not keep:
+        return aucs, target_acc, None
+    return aucs, target_acc, dict(
+        target=target, attack_test=attack_test, test_inputs=inputs, scores=scores,
+        target_posteriors=posteriors,
+        posterior_columns=posterior_columns(num_classes, cfg.defense, transfer, cfg.pairwise),
+    )
 
 
 def _graphs_equal(a: Graph, b: Graph) -> bool:
@@ -308,14 +282,13 @@ def _graphs_equal(a: Graph, b: Graph) -> bool:
     )
 
 
-def run_experiment(cfg: ExperimentConfig, keep_artifacts: bool = False,
-                   shadow: ExperimentConfig | None = None) -> RunReport:
-    """The full multi-run pipeline.
+def _run_defenses(cfg: ExperimentConfig, defenses, shadow: ExperimentConfig | None = None,
+                  keep_artifacts: bool = False) -> list[RunReport]:
+    """The multi-run pipeline, with one report per defense in ``defenses``.
 
-    With ``shadow``, the shadow model comes from that config's dataset, a
-    possibly different distribution, and posterior features switch to the
-    class-count-independent transfer block. A shadow dataset equal to the
-    target's shares the target's splits, so only the features change.
+    Each run splits once and calls the shadow side once; the target side
+    runs once per defense against the same attack classifiers. That is
+    exact only for defenses whose queries match ``cfg.defense``'s.
     """
     if shadow is not None and cfg.defense.kind == "label_only":
         raise ValueError("label-only defense is incompatible with transfer features")
@@ -325,68 +298,101 @@ def run_experiment(cfg: ExperimentConfig, keep_artifacts: bool = False,
         other = load_or_generate(shadow)
         if not _graphs_equal(graph, other):
             shadow_graph = other
-    results = []
+    attacks = cfg.active_attacks()
+    for attack_id in attacks:
+        if spec_for(attack_id).uses_node_attrs and graph.feature_dim != shadow_graph.feature_dim:
+            raise ValueError(
+                f"{attack_id} needs matching attribute dims for transfer, "
+                f"got {graph.feature_dim} vs {shadow_graph.feature_dim}"
+            )
+    transfer = shadow is not None
+    configs = [replace(cfg, defense=defense) for defense in defenses]
+    per_defense = [[] for _ in configs]
+    shadow_accs, durations = [], []
     for run_idx in range(cfg.runs):
         started = time.perf_counter()
-        aucs, tacc, sacc, artifacts = _single_run(
-            cfg, graph, shadow or cfg, shadow_graph, run_idx,
-            transfer=shadow is not None, keep=(keep_artifacts and run_idx == 0),
+        run_seed = cfg.seed + run_idx
+        keep = keep_artifacts and run_idx == 0
+        with _stage("split"):
+            bundle = make_splits(graph, derive_seed(run_seed, "split"), cfg.shadow_fraction)
+            shadow_bundle = bundle if shadow_graph is graph else make_splits(
+                shadow_graph, derive_seed(run_seed, "split-shadow"), shadow.shadow_fraction
+            )
+        shadow_model, shadow_acc, attack_train, models = _shadow_side(
+            cfg, shadow_bundle.shadow_train, shadow_bundle.shadow_test,
+            shadow_graph.num_classes, run_seed, transfer,
         )
-        results.append((aucs, tacc, sacc, artifacts, time.perf_counter() - started))
-    attacks = cfg.active_attacks()
-    per_run = {a: tuple(r[0][a] for r in results) for a in attacks}
-    return RunReport(
-        attack_ids=attacks,
-        per_run_auc=per_run,
-        mean_auc={a: float(np.mean(per_run[a])) for a in attacks},
-        target_accuracies=tuple(r[1] for r in results),
-        shadow_accuracies=tuple(r[2] for r in results),
-        durations=tuple(r[4] for r in results),
-        artifacts=results[0][3] if keep_artifacts else None,
-    )
+        for results, run_cfg in zip(per_defense, configs):
+            aucs, target_acc, kept = _target_side(run_cfg, bundle, graph.num_classes, run_seed,
+                                                  transfer, models, keep)
+            if kept is not None:
+                kept = RunArtifacts(bundle=bundle, shadow=shadow_model,
+                                    attack_train=attack_train, **kept)
+            results.append((aucs, target_acc, kept))
+        shadow_accs.append(shadow_acc)
+        durations.append(time.perf_counter() - started)
+    reports = []
+    for results in per_defense:
+        per_run = {a: tuple(r[0][a] for r in results) for a in attacks}
+        reports.append(RunReport(
+            attack_ids=attacks,
+            per_run_auc=per_run,
+            mean_auc={a: float(np.mean(per_run[a])) for a in attacks},
+            target_accuracies=tuple(r[1] for r in results),
+            shadow_accuracies=tuple(shadow_accs),
+            durations=tuple(durations),
+            artifacts=results[0][2],
+        ))
+    return reports
+
+
+def run_experiment(cfg: ExperimentConfig, keep_artifacts: bool = False,
+                   shadow: ExperimentConfig | None = None) -> RunReport:
+    """The full multi-run pipeline.
+
+    With ``shadow``, the shadow model comes from that config's dataset, a
+    possibly different distribution, and posterior features switch to the
+    class-count-independent transfer block. A shadow dataset equal to the
+    target's shares the target's splits, so only the features change.
+    """
+    (report,) = _run_defenses(cfg, (cfg.defense,), shadow, keep_artifacts)
+    return report
 
 
 @dataclass(frozen=True)
 class SweepReport:
-    """Utility and the swept attack's AUC per privacy budget, plus the
+    """Utility and each attack's mean AUC per privacy budget, plus the
     undefended reference."""
 
     defense_kind: str
-    attack_id: str
     epsilons: tuple[float, ...]
     target_accuracies: tuple[float, ...]
-    attack_aucs: tuple[float, ...]
+    attack_aucs: dict[str, tuple[float, ...]]
     undefended_accuracy: float
-    undefended_auc: float
+    undefended_auc: dict[str, float]
 
 
 def run_defense_sweep(cfg: ExperimentConfig, epsilons) -> SweepReport:
-    """Retrain the defended target and rerun the config's one active attack
-    at each privacy budget."""
+    """Retrain the target undefended and at each privacy budget, and score
+    the config's active attacks on each.
+
+    Every point answers queries at T=1 with full posteriors, so each run
+    trains its shadow side and attack classifiers once for all points.
+    """
     if cfg.defense.kind not in DP_KINDS:
         raise ValueError("defense sweep needs an edge_rand or lap_graph defense")
     epsilons = tuple(float(e) for e in epsilons)
     if not epsilons:
         raise ValueError("need at least one epsilon")
-    attacks = cfg.active_attacks()
-    if len(attacks) != 1:
-        raise ValueError(f"a defense sweep runs one attack, but attacks {attacks} are active")
-    (attack_id,) = attacks
-    undefended = run_experiment(replace(cfg, defense=DefenseConfig()))
-    accs = []
-    aucs = []
-    for eps in epsilons:
-        rep = run_experiment(replace(cfg, defense=replace(cfg.defense, epsilon=eps)))
-        accs.append(float(np.mean(rep.target_accuracies)))
-        aucs.append(rep.mean_auc[attack_id])
+    undefended, *defended = _run_defenses(
+        cfg, [DefenseConfig()] + [replace(cfg.defense, epsilon=eps) for eps in epsilons])
     return SweepReport(
         defense_kind=cfg.defense.kind,
-        attack_id=attack_id,
         epsilons=epsilons,
-        target_accuracies=tuple(accs),
-        attack_aucs=tuple(aucs),
+        target_accuracies=tuple(float(np.mean(rep.target_accuracies)) for rep in defended),
+        attack_aucs={a: tuple(rep.mean_auc[a] for rep in defended) for a in undefended.attack_ids},
         undefended_accuracy=float(np.mean(undefended.target_accuracies)),
-        undefended_auc=undefended.mean_auc[attack_id],
+        undefended_auc=undefended.mean_auc,
     )
 
 
@@ -437,11 +443,14 @@ def write_reports(report: RunReport, outdir: str) -> None:
 
 
 def write_sweep_report(sweep: SweepReport, outdir: str) -> None:
+    """One block of rows per attack: undefended, then each privacy budget."""
     os.makedirs(outdir, exist_ok=True)
-    rows = [[sweep.attack_id, "undefended", _fmt(sweep.undefended_accuracy),
-             _fmt(sweep.undefended_auc)]]
-    for eps, acc, a in zip(sweep.epsilons, sweep.target_accuracies, sweep.attack_aucs):
-        rows.append([sweep.attack_id, _fmt(eps), _fmt(acc), _fmt(a)])
+    rows = []
+    for attack_id, aucs in sweep.attack_aucs.items():
+        rows.append([attack_id, "undefended", _fmt(sweep.undefended_accuracy),
+                     _fmt(sweep.undefended_auc[attack_id])])
+        rows += [[attack_id, _fmt(eps), _fmt(acc), _fmt(a)]
+                 for eps, acc, a in zip(sweep.epsilons, sweep.target_accuracies, aucs)]
     _write_csv(os.path.join(outdir, "sweep.csv"),
                ["attack", "epsilon", "target_accuracy", "attack_auc"], rows)
 
@@ -574,7 +583,7 @@ def summarize_report_csv(report_path: str, summary_path: str) -> None:
 
 
 # Configuration files are flat key=value text; lists are comma-separated.
-_RESERVED_KEYS = {"out", "epsilons", "analyses", "export_features"}
+_RESERVED_KEYS = {"out", "epsilons"}
 
 
 def parse_config_file(path: str) -> dict[str, str]:

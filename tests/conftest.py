@@ -41,7 +41,7 @@ def symmetry_pipeline():
     bundle = make_splits(g, seed=17)
     shadow = train_gnn(bundle.shadow_train, "sage", seed=5, num_classes=g.num_classes, epochs=60)
     target = train_gnn(bundle.target_train, "sage", seed=6, num_classes=g.num_classes, epochs=60)
-    attack_train = build_pair_dataset(bundle.shadow_train, seed=7, provenance="shadow_train")
+    attack_train = build_pair_dataset(bundle.shadow_train, seed=7)
     table = PosteriorTable(shadow, attack_train.graph)
     models = {}
     for attack_id in ALL_ATTACK_IDS:

@@ -299,10 +299,10 @@ def test_criterion_7_defense_behavior(edge_rand_sweep):
     sweep = edge_rand_sweep
     eps = np.array(sweep.epsilons)
     acc_rho = spearman(eps, sweep.target_accuracies)
-    auc_rho = spearman(eps, sweep.attack_aucs)
+    auc_rho = spearman(eps, sweep.attack_aucs["a1"])
     utility_ok = abs(sweep.target_accuracies[-1] - sweep.undefended_accuracy) <= 0.05
     # strong perturbation at eps = 1 must hurt the attack
-    utility_ok = utility_ok and sweep.attack_aucs[0] < sweep.undefended_auc
+    utility_ok = utility_ok and sweep.attack_aucs["a1"][0] < sweep.undefended_auc["a1"]
 
     graph = generate_planted_partition(
         ACCEPTANCE_SYNTHETIC.nodes, ACCEPTANCE_SYNTHETIC.communities,

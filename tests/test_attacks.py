@@ -101,7 +101,7 @@ def pipeline():
     g = generate_planted_partition(160, 4, 0.15, 0.01, 12, 1.0, seed=23)
     bundle = make_splits(g, 8)
     shadow = train_gnn(bundle.shadow_train, "sage", seed=3, num_classes=g.num_classes, epochs=60)
-    attack_train = build_pair_dataset(bundle.shadow_train, seed=4, provenance="shadow_train")
+    attack_train = build_pair_dataset(bundle.shadow_train, seed=4)
     return g, bundle, shadow, attack_train
 
 

@@ -8,7 +8,6 @@ import pytest
 from linklab.data import (
     build_pair_dataset,
     bundle_from_manifest,
-    enforce_attack_provenance,
     generate_planted_partition,
     make_splits,
     read_split_manifest,
@@ -157,14 +156,6 @@ class TestBuildPairDataset:
         ds = build_pair_dataset(g, seed=5)
         positives = {normalize_edge(u, v) for u, v in ds.pairs[ds.labels == 1].tolist()}
         assert positives == {tuple(e) for e in g.edges.tolist()}
-
-    def test_provenance_enforcement(self):
-        g = make_graph(30, [(i, i + 1) for i in range(29)])
-        shadow = build_pair_dataset(g, seed=1, provenance="shadow_train")
-        target = build_pair_dataset(g, seed=2, provenance="target_train")
-        enforce_attack_provenance(shadow, target)
-        with pytest.raises(ValueError):
-            enforce_attack_provenance(target, shadow)
 
 
 class TestPlantedPartition:

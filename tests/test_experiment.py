@@ -1,12 +1,13 @@
-"""Orchestration: configs, determinism, provenance, transfer, sweep, CLI."""
+"""Orchestration: configs, determinism, threat model, transfer, sweep, CLI."""
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from graph_oracles import adjacency_sets, proximity_oracle
 
-from linklab import cli
+from linklab import cli, experiment
 from linklab.cli import main as cli_main
 from linklab.defenses import DefenseConfig
 from linklab.experiment import (
@@ -23,7 +24,7 @@ from linklab.experiment import (
     write_reports,
 )
 from linklab.features import cosine_similarity
-from linklab.graph import save_dataset
+from linklab.graph import Graph, save_dataset
 
 FAST = dict(runs=1, epochs=25, attack_epochs=25)
 SMALL = SyntheticSpec(nodes=120, communities=3, p_in=0.2, p_out=0.02, feature_dim=10, noise=1.0)
@@ -93,8 +94,10 @@ class TestConfig:
         assert cfg.synthetic.nodes == 80
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError):
-            config_from_mapping({"atacks": "a1"})
+        # analyses and export_features are flags of the attack verb, not config keys
+        for key in ("atacks", "analyses", "export_features"):
+            with pytest.raises(ValueError, match=key):
+                config_from_mapping({key: "true"})
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -129,12 +132,47 @@ class TestRunExperiment:
     def test_artifact_provenance(self):
         rep = run_experiment(small_cfg(), keep_artifacts=True)
         art = rep.artifacts
-        assert art.attack_train.provenance == "shadow_train"
-        assert art.attack_test.provenance == "target_train"
+        assert art.attack_train.graph is art.bundle.shadow_train
+        assert art.attack_test.graph is art.bundle.target_train
         # disjoint node universes at the source level
         train_ids = set(art.bundle.shadow_train_ids)
         test_ids = set(art.bundle.target_train_ids)
         assert train_ids.isdisjoint(test_ids)
+
+    def test_attack_models_never_see_the_target_half(self, monkeypatch):
+        cfg = small_cfg(attacks=("a0", "a1", "a4", "a9", "b1"))
+        original_train = experiment.train_attack
+        original_splits = experiment.make_splits
+
+        def trained_models():
+            models = []
+
+            def recording(*args, **kwargs):
+                models.append(original_train(*args, **kwargs))
+                return models[-1]
+
+            monkeypatch.setattr(experiment, "train_attack", recording)
+            report = run_experiment(cfg)
+            return report, [[p.data.tobytes() for p in m.parameters()] for m in models]
+
+        def poisoned_splits(graph, seed, shadow_fraction=1.0):
+            # same node count; random edges, permuted features and labels
+            bundle = original_splits(graph, seed, shadow_fraction)
+            half = bundle.target_train
+            rng = np.random.default_rng(seed)
+            perm = rng.permutation(half.num_nodes)
+            edges = rng.integers(0, half.num_nodes, size=(half.num_edges, 2))
+            poison = Graph(num_nodes=half.num_nodes, edges=edges[edges[:, 0] != edges[:, 1]],
+                           features=half.features[perm], labels=half.labels[perm])
+            return replace(bundle, target_train=poison)
+
+        clean_report, clean = trained_models()
+        monkeypatch.setattr(experiment, "make_splits", poisoned_splits)
+        poisoned_report, poisoned = trained_models()
+        assert poisoned_report.per_run_auc != clean_report.per_run_auc
+        assert poisoned_report.shadow_accuracies == clean_report.shadow_accuracies
+        assert len(clean) == len(cfg.attacks)
+        assert poisoned == clean
 
     def test_stage_tagged_diagnostics(self):
         # six communities across twelve nodes leaves the splits edgeless
@@ -194,11 +232,15 @@ class TestTransfer:
         assert cross.mean_auc["a1"] > 0.6
         assert abs(cross.mean_auc["a1"] - same.mean_auc["a1"]) < 0.15
 
-    def test_attr_attacks_need_matching_dims(self):
+    def test_attr_attacks_need_matching_dims(self, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a GNN trained before the attribute check")
+
+        monkeypatch.setattr(experiment, "train_gnn", no_training)
         cfg_t = small_cfg(attacks=("a4",))
         cfg_s = small_cfg(synthetic=SyntheticSpec(nodes=120, communities=3, p_in=0.2,
                                                   p_out=0.02, feature_dim=6, noise=1.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="a4 needs matching attribute dims"):
             run_experiment(cfg_t, shadow=cfg_s)
 
     def test_label_only_rejected(self):
@@ -219,27 +261,58 @@ class TestDefenseSweep:
         with pytest.raises(ValueError):
             run_defense_sweep(small_cfg(), [1.0])
 
-    def test_cli_sweep_runs_the_given_attack(self, tmp_path, capsys):
+    def test_trains_each_attack_once_per_run(self, monkeypatch):
+        calls = {"train_attack": 0, "train_gnn": 0}
+        for name in calls:
+            def counting(*args, _name=name, _original=getattr(experiment, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(experiment, name, counting)
+        cfg = small_cfg(runs=2, epochs=5, attack_epochs=5,
+                        defense=DefenseConfig(kind="edge_rand", epsilon=1.0))
+        run_defense_sweep(cfg, [1.0, 2.0, 5.0])
+        # per run: one shadow GNN and one attack model, then 1 + 3 target GNNs
+        assert calls == {"train_attack": 2, "train_gnn": 10}
+
+    def test_each_attack_matches_its_single_attack_sweep(self):
+        cfg = small_cfg(attacks=("a1", "a4", "b1"), epochs=10, attack_epochs=10,
+                        defense=DefenseConfig(kind="lap_graph", epsilon=1.0))
+        joint = run_defense_sweep(cfg, [1.0, 4.0])
+        assert list(joint.attack_aucs) == list(joint.undefended_auc) == ["a1", "a4", "b1"]
+        for attack_id in cfg.attacks:
+            alone = run_defense_sweep(replace(cfg, attacks=(attack_id,)), [1.0, 4.0])
+            assert alone.attack_aucs == {attack_id: joint.attack_aucs[attack_id]}
+            assert alone.undefended_auc == {attack_id: joint.undefended_auc[attack_id]}
+            assert alone.target_accuracies == joint.target_accuracies
+            assert alone.undefended_accuracy == joint.undefended_accuracy
+
+    @pytest.mark.parametrize("defense", ["edgerand", "lapgraph"])
+    def test_cli_sweep_runs_the_given_attack(self, tmp_path, capsys, defense):
         config = tmp_path / "small.cfg"
         config.write_text("synthetic_nodes = 120\nsynthetic_communities = 3\n"
                           "synthetic_p_in = 0.2\nsynthetic_p_out = 0.02\n")
-        flags = ["--config", str(config), "--attack", "a9", "--runs", "1", "--seed", "3",
+        flags = ["--config", str(config), "--attack", "a9,b1", "--runs", "1", "--seed", "3",
                  "--epochs", "15", "--attack-epochs", "15"]
         out = tmp_path / "sweep"
-        assert cli_main(["sweep", "--defense", "edgerand", "--epsilons", "2",
+        assert cli_main(["sweep", "--defense", defense, "--epsilons", "2",
                          "--out", str(out)] + flags) == 0
-        rows = [line.split(",") for line in (out / "sweep.csv").read_text().split("\n")[1:3]]
-        for row, defense in ((rows[0], "none"), (rows[1], "edgerand")):
-            assert cli_main(["attack", "--defense", defense, "--epsilon", "2",
-                             "--out", str(tmp_path / defense)] + flags) == 0
-            summary = (tmp_path / defense / "summary.csv").read_text()
-            assert row[0] == "a9"
-            assert summary == f"attack,mean_auc\na9,{row[3]}\n"
-
-    def test_rejects_more_than_one_attack_before_loading(self, tmp_path):
-        missing = str(tmp_path / "no-such-dataset")
-        with pytest.raises(ValueError, match="attacks"):
-            cli_main(["sweep", "--dataset", missing, "--attack", "a1,a9", "--epsilons", "1"])
+        rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert [row[:2] for row in rows] == [["a9", "undefended"], ["a9", "2.0"],
+                                             ["b1", "undefended"], ["b1", "2.0"]]
+        printed = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in printed[:2]] == ["undefended", "epsilon 2"]
+        assert all(", a9 AUC " in line and ", b1 AUC " in line for line in printed[:2])
+        # the oracle: the full attack pipeline, run once per sweep point
+        for point, oracle_defense in (("undefended", "none"), ("2.0", defense)):
+            run = tmp_path / oracle_defense
+            assert cli_main(["attack", "--defense", oracle_defense, "--epsilon", "2",
+                             "--out", str(run)] + flags) == 0
+            summary = dict(line.split(",") for line in
+                           (run / "summary.csv").read_text().splitlines()[1:])
+            accuracy = (run / "report.csv").read_text().splitlines()[1].split(",")[1]
+            assert [row for row in rows if row[1] == point] == [
+                [a, point, accuracy, summary[a]] for a in ("a9", "b1")]
 
 
 class TestPairMetricValues:
@@ -391,6 +464,11 @@ class TestCli:
         assert [line.split(",")[:2] for line in lines[1:]] == [["a1", "undefended"], ["a1", "5.0"]]
         assert "a1 AUC" in capsys.readouterr().out
         assert len(lines) == 3  # undefended + one epsilon
+
+    def test_sweep_rejects_epsilon_before_loading(self, tmp_path):
+        missing = str(tmp_path / "no-such-dataset")
+        with pytest.raises(SystemExit, match="--epsilons"):
+            cli_main(["sweep", "--dataset", missing, "--epsilon", "7", "--epsilons", "2"])
 
     def test_transfer_verb(self, tmp_path, capsys):
         shadow_cfg = tmp_path / "shadow.cfg"

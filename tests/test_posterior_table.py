@@ -163,7 +163,7 @@ class TestThreatModel:
         assert {id(art.shadow), id(art.target)} == {key[0] for key in computed}
 
     def test_table_on_another_graph_rejected(self, graph, models):
-        shadow_pairs = build_pair_dataset(graph, seed=1, provenance="shadow_train")
+        shadow_pairs = build_pair_dataset(graph, seed=1)
         other = generate_planted_partition(40, 3, 0.2, 0.02, 8, 1.0, seed=4)
         target_table = PosteriorTable(models["sage"], other)
         with pytest.raises(ValueError, match=r"table graph \(40 nodes.*graph of the pairs \(72 nodes"):
