@@ -160,7 +160,7 @@ def mlp_forward(model: MultiInputMlp, inputs: dict[str, np.ndarray],
             )
         h = Tensor(x)
         for w, b in zip(br.weights, br.biases):
-            h = nn.relu_dropout(nn.add(nn.matmul(h, w), b), dropout_rate, rng)
+            h = nn.dense_relu_dropout(h, w, b, dropout_rate, rng)
         embeddings.append(h)
     joined = embeddings[0] if len(embeddings) == 1 else nn.concat_cols(embeddings)
     return nn.add(nn.matmul(joined, model.head_w), model.head_b)

@@ -60,6 +60,7 @@ _FLAG_TO_KEY = {
     "epochs": "epochs",
     "attack_epochs": "attack_epochs",
     "out": "out",
+    "epsilons": "epsilons",  # sweep's own flag; the other verbs have no such attribute
 }
 
 
@@ -117,12 +118,12 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    if args.epsilon is not None:
-        raise SystemExit("sweep takes its privacy budgets from --epsilons, not --epsilon")
     mapping = _merged_mapping(args)
+    if "epsilon" in mapping:  # from --epsilon or the config file
+        raise SystemExit("sweep takes its privacy budgets from --epsilons, not --epsilon")
     out = mapping.pop("out", None)
-    epsilons_text = args.epsilons or mapping.pop("epsilons", None)
-    if epsilons_text is None:
+    epsilons_text = mapping.pop("epsilons", None)
+    if not epsilons_text:
         raise SystemExit("sweep needs --epsilons, e.g. --epsilons 1,2,5,10")
     mapping.setdefault("defense", "edgerand")
     mapping["epsilon"] = "1.0"  # placeholder; the sweep substitutes each value

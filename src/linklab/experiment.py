@@ -582,11 +582,8 @@ def summarize_report_csv(report_path: str, summary_path: str) -> None:
                [[name, _fmt(sums[name] / count)] for _, name in attack_cols])
 
 
-# Configuration files are flat key=value text; lists are comma-separated.
-_RESERVED_KEYS = {"out", "epsilons"}
-
-
 def parse_config_file(path: str) -> dict[str, str]:
+    """Read a flat key=value config file; lists are comma-separated."""
     mapping: dict[str, str] = {}
     with open(path) as fh:
         for raw in fh:
@@ -618,7 +615,7 @@ def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
         "epochs", "attack_epochs", "hidden", "learning_rate", "dropout",
         "pairwise_ops", "hops",
     }
-    unknown = set(mapping) - known - _RESERVED_KEYS
+    unknown = set(mapping) - known
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
 

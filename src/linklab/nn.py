@@ -20,7 +20,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise FloatingPointError("tensor initialized with non-finite values")
         self.data = arr
         self.grad: np.ndarray | None = None
@@ -76,7 +76,7 @@ class Parameter(Tensor):
 
 
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise FloatingPointError("non-finite values produced in forward pass")
     # Built without Tensor.__init__, which would repeat the check above.
     out = Tensor.__new__(Tensor)
@@ -164,6 +164,20 @@ def scalar_mul(x: Tensor, s: Tensor) -> Tensor:
     return _result(out_data, (x, s), backward)
 
 
+def _relu_dropout_mult(pre: np.ndarray, rate: float,
+                       rng: np.random.Generator | None) -> np.ndarray:
+    """The multiplier ReLU and inverted dropout share: ``pre > 0``, and at a
+    positive rate also a keep mask drawn from ``rng`` times ``1 / (1 - rate)``."""
+    if not (0.0 <= rate < 1.0):
+        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+    mult = pre > 0.0
+    if rate > 0.0:
+        if rng is None:
+            raise ValueError("training-mode dropout needs an explicit rng")
+        mult = mult * (rng.random(pre.shape) >= rate) * (1.0 / (1.0 - rate))
+    return mult
+
+
 def relu_dropout(x: Tensor, rate: float = 0.0, rng: np.random.Generator | None = None) -> Tensor:
     """ReLU, then inverted dropout: each element is zeroed with probability
     ``rate`` and survivors are scaled by ``1 / (1 - rate)``.
@@ -172,20 +186,46 @@ def relu_dropout(x: Tensor, rate: float = 0.0, rng: np.random.Generator | None =
     plain ReLU. A positive rate needs ``rng``. Both steps share one
     multiplier, so the backward is a single product.
     """
-    if not (0.0 <= rate < 1.0):
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+    mult = _relu_dropout_mult(x.data, rate, rng)
     out_data = np.maximum(x.data, 0.0)
-    mult = x.data > 0.0
     if rate > 0.0:
-        if rng is None:
-            raise ValueError("training-mode dropout needs an explicit rng")
-        mult = mult * (rng.random(x.data.shape) >= rate) * (1.0 / (1.0 - rate))
         out_data = out_data * mult
 
     def backward(g: np.ndarray) -> None:
         x._accumulate(g * mult)
 
     return _result(out_data, (x,), backward)
+
+
+def dense_relu_dropout(h: Tensor, w: Tensor, b: Tensor, rate: float = 0.0,
+                       rng: np.random.Generator | None = None) -> Tensor:
+    """``relu_dropout(h @ w + b, rate, rng)`` as one op: a dense hidden
+    layer with the same arithmetic and the same dropout draws as the chain.
+
+    The backward is one product with the shared multiplier, two matrix
+    products and a column sum.
+    """
+    if (h.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1
+            or h.data.shape[1] != w.data.shape[0] or b.data.shape[0] != w.data.shape[1]):
+        raise ValueError(f"dense layer shape mismatch: {h.data.shape} @ {w.data.shape} "
+                         f"+ {b.data.shape}")
+    pre = h.data @ w.data
+    pre += b.data
+    mult = _relu_dropout_mult(pre, rate, rng)
+    np.maximum(pre, 0.0, out=pre)
+    if rate > 0.0:
+        pre *= mult
+
+    def backward(g: np.ndarray) -> None:
+        gp = g * mult
+        if h.requires_grad:
+            h._accumulate(gp @ w.data.T)
+        if w.requires_grad:
+            w._accumulate(h.data.T @ gp)
+        if b.requires_grad:
+            b._accumulate(gp.sum(axis=0))
+
+    return _result(pre, (h, w, b), backward)
 
 
 def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:

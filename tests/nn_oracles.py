@@ -1,8 +1,10 @@
-"""The tape code ``nn.relu_dropout`` replaced, kept as oracles.
+"""The tape code ``nn.relu_dropout`` and ``nn.dense_relu_dropout``
+replaced, kept as oracles.
 
 Every hidden activation used to be two ops, ``relu`` and then ``dropout``,
+every attack-MLP hidden layer was ``matmul``, ``add`` and the activation,
 and ``Tensor._accumulate`` copied the first gradient it received. These
-are those ops and that method as they were.
+are those ops, that chain and that method as they were.
 """
 
 import numpy as np
@@ -43,6 +45,13 @@ def relu_then_dropout(x, rate=0.0, rng=None):
     return dropout(relu(x), rate, training=rate > 0.0, rng=rng)
 
 
+def dense_then_relu_dropout(h, w, b, rate=0.0, rng=None):
+    """The three-op chain behind ``nn.dense_relu_dropout``. It looks up
+    ``nn.relu_dropout`` at call time, so under ``use_oracle_tape`` the
+    activation is the two-op chain as well."""
+    return nn.relu_dropout(nn.add(nn.matmul(h, w), b), rate, rng)
+
+
 def copying_accumulate(self, g):
     if self.grad is None:
         self.grad = np.array(g, dtype=np.float64)
@@ -51,6 +60,8 @@ def copying_accumulate(self, g):
 
 
 def use_oracle_tape(monkeypatch):
-    """Route every activation through the two-op chain and copy first gradients."""
+    """Route every dense hidden layer through the three-op chain, every
+    activation through the two-op chain, and copy first gradients."""
     monkeypatch.setattr(nn, "relu_dropout", relu_then_dropout)
+    monkeypatch.setattr(nn, "dense_relu_dropout", dense_then_relu_dropout)
     monkeypatch.setattr(nn.Tensor, "_accumulate", copying_accumulate)

@@ -201,14 +201,21 @@ class TestTrainAttack:
             assert p1.data.tobytes() == p2.data.tobytes()
 
     @pytest.mark.parametrize("rate", [0.5, 0.3])
-    def test_a8_parameters_match_two_op_oracle_tape(self, rate, pipeline, monkeypatch):
-        _, _, shadow, ds = pipeline
-        inputs = attack_dataset_inputs(spec_for("a8"), PosteriorTable(shadow, ds.graph),
-                                       ds.graph, ds.pairs)
-        model = train_attack("a8", inputs, ds.labels, seed=6, epochs=20, dropout_rate=rate)
+    @pytest.mark.parametrize("attack_id", sorted(ATTACK_SPECS))
+    def test_parameters_match_oracle_tape(self, attack_id, rate, monkeypatch):
+        # every branch plan, on the tape before the fused dense layer and
+        # the fused activation: matmul, add, relu, dropout
+        spec = ATTACK_SPECS[attack_id]
+        rng = np.random.default_rng(6)
+        used = {"posterior": spec.uses_posteriors, "node_attr": spec.uses_node_attrs,
+                "graph": spec.uses_graph_feats}
+        widths = {"posterior": 12, "node_attr": 10, "graph": 3}
+        inputs = {kind: rng.normal(size=(30, width)) for kind, width in widths.items() if used[kind]}
+        labels = np.repeat([0, 1], 15)
+        model = train_attack(attack_id, inputs, labels, seed=6, epochs=20, dropout_rate=rate)
         use_oracle_tape(monkeypatch)
-        old = train_attack("a8", inputs, ds.labels, seed=6, epochs=20, dropout_rate=rate)
-        for p, q in zip(model.parameters(), old.parameters()):
+        old = train_attack(attack_id, inputs, labels, seed=6, epochs=20, dropout_rate=rate)
+        for p, q in zip(model.parameters(), old.parameters(), strict=True):
             assert p.data.tobytes() == q.data.tobytes()
 
 

@@ -470,6 +470,39 @@ class TestCli:
         with pytest.raises(SystemExit, match="--epsilons"):
             cli_main(["sweep", "--dataset", missing, "--epsilon", "7", "--epsilons", "2"])
 
+    @pytest.mark.parametrize("verb", ["attack", "train", "transfer"])
+    def test_config_epsilons_rejected_outside_sweep(self, tmp_path, verb):
+        # only sweep reads epsilons; the dataset cannot load, so the error
+        # shows the key is refused first
+        config = tmp_path / "bad.cfg"
+        config.write_text("epsilons = 1\n")
+        missing = str(tmp_path / "no-such-dataset")
+        with pytest.raises(ValueError, match=r"unknown config keys: \['epsilons'\]"):
+            cli_main([verb, "--config", str(config), "--dataset", missing])
+
+    def test_sweep_rejects_config_epsilon_before_loading(self, tmp_path):
+        config = tmp_path / "bad.cfg"
+        config.write_text("epsilon = 9\n")
+        missing = str(tmp_path / "no-such-dataset")
+        with pytest.raises(SystemExit, match="from --epsilons, not --epsilon"):
+            cli_main(["sweep", "--config", str(config), "--dataset", missing, "--epsilons", "2"])
+
+    @pytest.mark.parametrize("flag, expected", [(["--epsilons", "2"], [2.0]), ([], [7.0, 8.0])])
+    def test_sweep_reads_config_epsilons_unless_flagged(self, tmp_path, monkeypatch,
+                                                        flag, expected):
+        seen = []
+
+        def no_run(cfg, epsilons):
+            seen.append(epsilons)
+            raise RuntimeError("stop before the pipeline")
+
+        monkeypatch.setattr(cli, "run_defense_sweep", no_run)
+        config = tmp_path / "sweep.cfg"
+        config.write_text("epsilons = 7,8\n")
+        with pytest.raises(RuntimeError, match="stop before the pipeline"):
+            cli_main(["sweep", "--config", str(config)] + flag)
+        assert seen == [expected]
+
     def test_transfer_verb(self, tmp_path, capsys):
         shadow_cfg = tmp_path / "shadow.cfg"
         shadow_cfg.write_text("synthetic_communities = 5\nsynthetic_p_in = 0.25\nseed = 8\n")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from nn_oracles import relu_then_dropout
+from nn_oracles import dense_then_relu_dropout, relu_then_dropout
 
 from linklab import nn
 from linklab.nn import Adam, Parameter, Tensor
@@ -214,15 +214,32 @@ _values = st.one_of(st.sampled_from([0.0, -0.0]),
                     st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
 
 
-def _chain_gradient(out, g):
-    """Push ``g`` from ``out`` down a chain of one-parent ops; returns the
-    gradient that reaches the chain's leaf."""
-    node, grad = out, g
-    while node._backward is not None:
-        node._backward(grad)
-        node = node._parents[0]
-        grad = node.grad
-    return grad
+def _backprop(out, g):
+    """Run the tape backward from ``out``, seeded with the gradient ``g``."""
+    order, seen = [], set()
+
+    def visit(node):
+        if id(node) not in seen:
+            seen.add(id(node))
+            for p in node._parents:
+                visit(p)
+            order.append(node)
+
+    visit(out)
+    out.grad = g
+    for node in reversed(order):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+
+
+def _draw_array(data, shape):
+    size = int(np.prod(shape))
+    return np.array(data.draw(st.lists(_values, min_size=size, max_size=size))).reshape(shape)
+
+
+def _bytes(arr):
+    """Shape and bytes, so signed zeros and a wrongly shaped gradient count."""
+    return None if arr is None else (arr.shape, arr.tobytes())
 
 
 class TestReluDropoutOracle:
@@ -230,17 +247,66 @@ class TestReluDropoutOracle:
     @given(data=st.data(), rows=st.integers(1, 6), cols=st.integers(1, 6),
            rate=st.sampled_from([0.0, 0.3, 0.5]), seed=st.integers(0, 2**32 - 1))
     def test_bitwise_equal_to_relu_then_dropout(self, data, rows, cols, rate, seed):
-        shape = (rows, cols)
-        x = np.array(data.draw(st.lists(_values, min_size=rows * cols, max_size=rows * cols)))
-        g = np.array(data.draw(st.lists(_values, min_size=rows * cols, max_size=rows * cols)))
-        x, g = x.reshape(shape), g.reshape(shape)
+        x, g = _draw_array(data, (rows, cols)), _draw_array(data, (rows, cols))
         g.setflags(write=False)
         results = []
         for op in (nn.relu_dropout, relu_then_dropout):
             leaf = Parameter(x.copy())
             out = op(leaf, rate, np.random.default_rng(seed))
-            results.append((out.data.tobytes(), _chain_gradient(out, g).tobytes()))
+            _backprop(out, g)
+            results.append((_bytes(out.data), _bytes(leaf.grad)))
         assert results[0] == results[1]
+
+
+class TestDenseReluDropout:
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 5), fan_in=st.integers(1, 5),
+           fan_out=st.integers(1, 5), rate=st.sampled_from([0.0, 0.3, 0.5]),
+           h_grad=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_bitwise_equal_to_three_op_chain(self, data, rows, fan_in, fan_out, rate,
+                                             h_grad, seed):
+        h0 = _draw_array(data, (rows, fan_in))
+        w0 = _draw_array(data, (fan_in, fan_out))
+        b0 = _draw_array(data, (fan_out,))
+        g = _draw_array(data, (rows, fan_out))
+        g.setflags(write=False)
+        results = []
+        for op in (nn.dense_relu_dropout, dense_then_relu_dropout):
+            h = Tensor(h0.copy(), requires_grad=h_grad)
+            w, b = Parameter(w0.copy()), Parameter(b0.copy())
+            out = op(h, w, b, rate, np.random.default_rng(seed))
+            _backprop(out, g)
+            results.append([_bytes(t) for t in (out.data, h.grad, w.grad, b.grad)])
+        assert results[0] == results[1]
+        assert (results[0][1] is None) != h_grad
+
+    def test_rate_zero_draws_nothing(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        out = nn.dense_relu_dropout(Tensor([[1.0, -2.0]]), Tensor([[1.0], [1.0]]),
+                                    Tensor([0.5]), 0.0, rng)
+        assert out.data.tolist() == [[0.0]]
+        assert rng.bit_generator.state == state
+        # the default rate is the inference setting: no rng needed
+        out = nn.dense_relu_dropout(Tensor([[3.0]]), Tensor([[2.0]]), Tensor([1.0]))
+        assert out.data.tolist() == [[7.0]]
+
+    def test_rejects_bad_rate_or_missing_rng(self):
+        args = (Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones(4)))
+        for rate in (-0.1, 1.0):
+            with pytest.raises(ValueError, match=rf"dropout rate must be in \[0, 1\), got {rate}"):
+                nn.dense_relu_dropout(*args, rate, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="training-mode dropout needs an explicit rng"):
+            nn.dense_relu_dropout(*args, 0.5)
+
+    @pytest.mark.parametrize("shapes", [((2, 3), (4, 5), (5,)), ((2, 3), (3, 4), (3,)),
+                                        ((3,), (3, 4), (4,)), ((2, 3), (3, 4), (1, 4))])
+    def test_rejects_shape_mismatch_naming_the_shapes(self, shapes):
+        h, w, b = (Tensor(np.ones(s)) for s in shapes)
+        with pytest.raises(ValueError) as err:
+            nn.dense_relu_dropout(h, w, b)
+        assert str(err.value) == ("dense layer shape mismatch: "
+                                  f"{shapes[0]} @ {shapes[1]} + {shapes[2]}")
 
 
 class TestGradientSuite:
@@ -270,6 +336,19 @@ class TestGradientSuite:
         labels = rng.integers(0, 4, size=3)
         finite_difference_check(lambda: nn.softmax_cross_entropy(nn.relu_dropout(a), labels)[0],
                                 [a])
+
+    @pytest.mark.parametrize("rate", [0.0, 0.5])
+    def test_dense_relu_dropout(self, rate):
+        rng = np.random.default_rng(30)
+        h = Parameter(rng.normal(size=(4, 3)))
+        w = Parameter(rng.normal(size=(3, 5)))
+        b = Parameter(rng.normal(size=5) + 0.2)
+        labels = rng.integers(0, 5, size=4)
+        finite_difference_check(
+            lambda: nn.softmax_cross_entropy(
+                nn.dense_relu_dropout(h, w, b, rate, np.random.default_rng(1)), labels)[0],
+            [h, w, b],
+        )
 
     def test_leaky_relu(self):
         rng = np.random.default_rng(24)
@@ -357,6 +436,9 @@ _SUITE_OPS = {
     "add_bias": lambda r: _apply(nn.add, r.normal(size=(3, 4)), r.normal(size=4)),
     "relu_dropout": lambda r: _apply(
         lambda x: nn.relu_dropout(x, 0.5, np.random.default_rng(1)), r.normal(size=(3, 4))),
+    "dense_relu_dropout": lambda r: _apply(
+        lambda h, w, b: nn.dense_relu_dropout(h, w, b, 0.5, np.random.default_rng(1)),
+        r.normal(size=(3, 4)), r.normal(size=(4, 2)), r.normal(size=2)),
     "leaky_relu": lambda r: _apply(nn.leaky_relu, r.normal(size=(3, 4))),
     "scalar_mul": lambda r: _apply(nn.scalar_mul, r.normal(size=(3, 4)), r.normal(size=1)),
     "concat_cols": lambda r: _apply(lambda a, b: nn.concat_cols([a, b]),
