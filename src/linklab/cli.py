@@ -128,7 +128,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     mapping.setdefault("defense", "edgerand")
     mapping["epsilon"] = "1.0"  # placeholder; the sweep substitutes each value
     cfg = config_from_mapping(mapping)
-    epsilons = [float(e) for e in str(epsilons_text).split(",") if e.strip()]
+    try:
+        epsilons = [float(e) for e in str(epsilons_text).split(",") if e.strip()]
+    except ValueError:
+        raise SystemExit(
+            f"--epsilons takes comma-separated numbers, got {epsilons_text!r}") from None
     sweep = run_defense_sweep(cfg, epsilons)
     points = [("undefended", sweep.undefended_accuracy, sweep.undefended_auc)] + [
         (f"epsilon {eps:g}", acc, {name: aucs[i] for name, aucs in sweep.attack_aucs.items()})

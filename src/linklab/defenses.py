@@ -8,6 +8,7 @@ pipeline plugs into the unmodified attack stack.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -17,6 +18,10 @@ from .rng import stream
 
 DEFENSE_KINDS = ("none", "label_only", "soft_posterior", "edge_rand", "lap_graph")
 DP_KINDS = ("edge_rand", "lap_graph")
+
+
+def _finite_positive(value: float) -> bool:
+    return math.isfinite(value) and value > 0
 
 
 @dataclass(frozen=True)
@@ -29,11 +34,12 @@ class DefenseConfig:
     def __post_init__(self):
         if self.kind not in DEFENSE_KINDS:
             raise ValueError(f"unknown defense kind {self.kind!r}")
-        if self.kind == "soft_posterior" and self.temperature <= 0:
-            raise ValueError("softmax temperature must be positive")
+        if self.kind == "soft_posterior" and not _finite_positive(self.temperature):
+            raise ValueError(f"temperature must be finite and positive, got {self.temperature}")
         if self.kind in DP_KINDS:
-            if self.epsilon is None or self.epsilon <= 0:
-                raise ValueError("differential-privacy defenses need epsilon > 0")
+            if self.epsilon is None or not _finite_positive(self.epsilon):
+                raise ValueError("differential-privacy defenses need a finite epsilon > 0, "
+                                 f"got {self.epsilon}")
             if not (0.0 < self.budget_split < 1.0):
                 raise ValueError("budget_split must lie in (0, 1)")
 

@@ -9,6 +9,7 @@ across repeated invocations.
 
 from __future__ import annotations
 
+import ctypes
 import os
 import time
 from contextlib import contextmanager
@@ -204,6 +205,69 @@ def train_target(cfg: ExperimentConfig, target_train: Graph, num_classes: int,
         )
 
 
+def _openblas_thread_setter():
+    """The loaded OpenBLAS's ``set_num_threads`` function, or None when
+    no OpenBLAS with one of the known symbol names is mapped."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                       "openblas_set_num_threads"):
+            setter = getattr(lib, symbol, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                return setter
+    return None
+
+
+def _attack_pool(jobs: int):
+    """A pool of forked workers, each on one BLAS thread, for ``jobs``
+    attack trainings; None when they should train in this process.
+
+    One worker per CPU this process may run on, and no more than there are
+    jobs. One worker would only add a process, and a worker whose BLAS
+    cannot be pinned would contend with the others for the same cores.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(jobs, cpus)
+    if workers < 2:
+        return None
+    setter = _openblas_thread_setter()
+    if setter is None:
+        return None
+    # Imported here, so runs that train in-process never load them.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # Forked, not spawned: a worker starts with the package loaded and with
+    # this module's globals, a patched train_attack and the setter included.
+    # The pool forks every worker before it starts its own thread, and
+    # OpenBLAS stops its threads across a fork (its atfork handler).
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=setter, initargs=(1,))
+
+
+def _train_job(attack_id, inputs, labels, seed, epochs, learning_rate, dropout_rate):
+    """``train_attack`` looked up as this module's global when it runs, so
+    a patched ``experiment.train_attack`` also acts in a forked worker."""
+    return train_attack(attack_id, inputs, labels, seed, epochs=epochs,
+                        learning_rate=learning_rate, dropout_rate=dropout_rate)
+
+
+class _Finished:
+    """A training already run in this process, read like a pool's future."""
+
+    def __init__(self, fn, *args):
+        self._model = fn(*args)
+
+    def result(self) -> MultiInputMlp:
+        return self._model
+
+
 def _shadow_side(cfg: ExperimentConfig, shadow_train: Graph, shadow_test: Graph,
                  num_classes: int, run_seed: int, transfer: bool):
     """Train the shadow GNN and one attack classifier per active attack.
@@ -211,6 +275,10 @@ def _shadow_side(cfg: ExperimentConfig, shadow_train: Graph, shadow_test: Graph,
     Returns (shadow GNN, its test accuracy, attack-training pairs,
     classifiers). The target half is not an argument, so attack training
     sees shadow-side data only. Nothing here reads a DP defense's budget.
+
+    This process assembles each attack's inputs in turn; the trainings,
+    each independent of the others, run in ``_attack_pool``'s workers
+    while later inputs are assembled, or here when there is no pool.
     """
     with _stage("shadow-train"):
         shadow = train_gnn(
@@ -221,19 +289,29 @@ def _shadow_side(cfg: ExperimentConfig, shadow_train: Graph, shadow_test: Graph,
     with _stage("pair-sampling"):
         attack_train = build_pair_dataset(shadow_train, derive_seed(run_seed, "attack-train-pairs"))
     table = PosteriorTable(shadow, shadow_train, query_temperature(cfg.defense))
-    models: dict[str, MultiInputMlp] = {}
-    for attack_id in cfg.active_attacks():
-        with _stage(f"attack-{attack_id}"):
-            inputs = attack_dataset_inputs(
-                spec_for(attack_id), table, shadow_train, attack_train.pairs,
-                defense=cfg.defense, transfer=transfer, pairwise=cfg.pairwise,
-            )
-            models[attack_id] = train_attack(
-                attack_id, inputs, attack_train.labels,
-                derive_seed(run_seed, "attack-train", attack_id),
-                epochs=cfg.attack_epochs, learning_rate=cfg.learning_rate,
-                dropout_rate=cfg.dropout,
-            )
+    attacks = cfg.active_attacks()
+    pool = _attack_pool(len(attacks))
+    submit = _Finished if pool is None else pool.submit
+    try:
+        trainings = {}
+        for attack_id in attacks:
+            with _stage(f"attack-{attack_id}"):
+                inputs = attack_dataset_inputs(
+                    spec_for(attack_id), table, shadow_train, attack_train.pairs,
+                    defense=cfg.defense, transfer=transfer, pairwise=cfg.pairwise,
+                )
+                trainings[attack_id] = submit(
+                    _train_job, attack_id, inputs, attack_train.labels,
+                    derive_seed(run_seed, "attack-train", attack_id),
+                    cfg.attack_epochs, cfg.learning_rate, cfg.dropout,
+                )
+        models: dict[str, MultiInputMlp] = {}
+        for attack_id, training in trainings.items():
+            with _stage(f"attack-{attack_id}"):
+                models[attack_id] = training.result()
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     return shadow, evaluate_accuracy(shadow, shadow_test), attack_train, models
 
 

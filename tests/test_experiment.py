@@ -1,5 +1,7 @@
 """Orchestration: configs, determinism, threat model, transfer, sweep, CLI."""
 
+import ctypes
+import multiprocessing
 import os
 from dataclasses import replace
 
@@ -8,7 +10,9 @@ import pytest
 from graph_oracles import adjacency_sets, proximity_oracle
 
 from linklab import cli, experiment
+from linklab.attacks import ALL_ATTACK_IDS
 from linklab.cli import main as cli_main
+from linklab.data import make_splits
 from linklab.defenses import DefenseConfig
 from linklab.experiment import (
     ExperimentConfig,
@@ -25,6 +29,7 @@ from linklab.experiment import (
 )
 from linklab.features import cosine_similarity
 from linklab.graph import Graph, save_dataset
+from linklab.rng import derive_seed
 
 FAST = dict(runs=1, epochs=25, attack_epochs=25)
 SMALL = SyntheticSpec(nodes=120, communities=3, p_in=0.2, p_out=0.02, feature_dim=10, noise=1.0)
@@ -65,6 +70,11 @@ class TestConfig:
         for key, value in (("attacks", ","), ("hops", "x"), ("hops", "1,3")):
             with pytest.raises(ValueError, match=key):
                 config_from_mapping({key: value})
+        for defense, key in (("edgerand", "epsilon"), ("lapgraph", "epsilon"),
+                             ("soft", "temperature")):
+            for value in ("nan", "inf", "-inf", "0"):
+                with pytest.raises(ValueError, match=key):
+                    config_from_mapping({"defense": defense, key: value})
 
     def test_hop_filter(self):
         cfg = ExperimentConfig(attacks=("a0", "a1", "a2", "b0"), hops=(1, 2))
@@ -141,17 +151,19 @@ class TestRunExperiment:
 
     def test_attack_models_never_see_the_target_half(self, monkeypatch):
         cfg = small_cfg(attacks=("a0", "a1", "a4", "a9", "b1"))
-        original_train = experiment.train_attack
+        original_shadow_side = experiment._shadow_side
         original_splits = experiment.make_splits
 
         def trained_models():
+            # read in this process: the trainings may run in forked workers
             models = []
 
             def recording(*args, **kwargs):
-                models.append(original_train(*args, **kwargs))
-                return models[-1]
+                side = original_shadow_side(*args, **kwargs)
+                models.extend(side[3].values())
+                return side
 
-            monkeypatch.setattr(experiment, "train_attack", recording)
+            monkeypatch.setattr(experiment, "_shadow_side", recording)
             report = run_experiment(cfg)
             return report, [[p.data.tobytes() for p in m.parameters()] for m in models]
 
@@ -194,6 +206,105 @@ class TestRunExperiment:
             )
             rep = run_experiment(cfg)
             assert set(rep.mean_auc) == {"a0", "a4", "a6", "a9", "b2"}
+
+
+def _blas_threads() -> int:
+    """The loaded OpenBLAS's thread count; at module level, so a pool
+    worker can run it."""
+    with open("/proc/self/maps") as fh:
+        libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            getter = getattr(lib, symbol, None)
+            if getter is not None:
+                getter.restype = ctypes.c_int
+                return int(getter())
+    raise AssertionError("no OpenBLAS thread-count getter")
+
+
+class TestAttackPool:
+    @staticmethod
+    def cpus(monkeypatch, count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+    @staticmethod
+    def pools(monkeypatch):
+        made = []
+        original = experiment._attack_pool
+
+        def recording(jobs):
+            made.append(original(jobs))
+            return made[-1]
+
+        monkeypatch.setattr(experiment, "_attack_pool", recording)
+        return made
+
+    def test_pooled_models_match_in_process_models(self, monkeypatch):
+        cfg = small_cfg(attacks=ALL_ATTACK_IDS, epochs=10, attack_epochs=10)
+        graph = load_or_generate(cfg)
+        bundle = make_splits(graph, derive_seed(cfg.seed, "split"))
+        made = self.pools(monkeypatch)
+
+        def shadow_models():
+            *_, models = experiment._shadow_side(cfg, bundle.shadow_train, bundle.shadow_test,
+                                                 graph.num_classes, cfg.seed, False)
+            assert list(models) == list(ALL_ATTACK_IDS)
+            return {a: [p.data.tobytes() for p in m.parameters()] for a, m in models.items()}
+
+        self.cpus(monkeypatch, 2)
+        pooled = shadow_models()
+        self.cpus(monkeypatch, 1)
+        setter = experiment._openblas_thread_setter()
+        if setter:
+            # a worker runs one BLAS thread, and OpenBLAS's last bits can
+            # depend on its thread count
+            threads = _blas_threads()
+            setter(1)
+        try:
+            in_process = shadow_models()
+        finally:
+            if setter:
+                setter(threads)
+        assert [pool is not None for pool in made] == [setter is not None, False]
+        assert pooled == in_process
+        assert multiprocessing.active_children() == []
+
+    def test_single_attack_or_cpu_trains_in_process(self, monkeypatch):
+        self.cpus(monkeypatch, 1)
+        assert experiment._attack_pool(13) is None
+        self.cpus(monkeypatch, 4)
+        assert experiment._attack_pool(1) is None
+
+    def test_worker_error_names_its_stage(self, monkeypatch):
+        original_train = experiment.train_attack
+
+        def failing(attack_id, *args, **kwargs):
+            if attack_id == "a4":
+                raise FloatingPointError("diverged")
+            return original_train(attack_id, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "train_attack", failing)  # forked workers inherit it
+        self.cpus(monkeypatch, 2)
+        with pytest.raises(FloatingPointError, match=r"^\[stage attack-a4\] diverged$"):
+            run_experiment(small_cfg(attacks=("a1", "a4", "b1"), epochs=5, attack_epochs=5))
+        assert multiprocessing.active_children() == []
+        run_experiment(small_cfg(attacks=("a1", "b1"), epochs=5, attack_epochs=5))
+        assert multiprocessing.active_children() == []
+
+    def test_workers_run_one_blas_thread(self, monkeypatch):
+        if experiment._openblas_thread_setter() is None:
+            pytest.skip("no OpenBLAS loaded")
+        before = _blas_threads()
+        self.cpus(monkeypatch, 2)
+        pool = experiment._attack_pool(2)
+        try:
+            counts = [pool.submit(_blas_threads) for _ in range(4)]
+            assert [count.result() for count in counts] == [1] * 4
+        finally:
+            pool.shutdown()
+        assert _blas_threads() == before
 
 
 class TestTransfer:
@@ -479,6 +590,20 @@ class TestCli:
         missing = str(tmp_path / "no-such-dataset")
         with pytest.raises(ValueError, match=r"unknown config keys: \['epsilons'\]"):
             cli_main([verb, "--config", str(config), "--dataset", missing])
+
+    @pytest.mark.parametrize("flags, error, match", [
+        (["attack", "--defense", "edgerand", "--epsilon", "nan"], ValueError, "epsilon > 0, got nan"),
+        (["attack", "--defense", "lapgraph", "--epsilon", "inf"], ValueError, "epsilon > 0, got inf"),
+        (["attack", "--defense", "soft", "--temperature", "nan"], ValueError,
+         "temperature must be finite and positive, got nan"),
+        (["sweep", "--epsilons", "nan"], ValueError, "epsilon > 0, got nan"),
+        (["sweep", "--epsilons", "1,inf"], ValueError, "epsilon > 0, got inf"),
+        (["sweep", "--epsilons", "1,x"], SystemExit, "--epsilons takes comma-separated numbers"),
+    ])
+    def test_non_finite_budgets_rejected_before_loading(self, tmp_path, flags, error, match):
+        missing = str(tmp_path / "no-such-dataset")
+        with pytest.raises(error, match=match):
+            cli_main(flags + ["--dataset", missing])
 
     def test_sweep_rejects_config_epsilon_before_loading(self, tmp_path):
         config = tmp_path / "bad.cfg"
