@@ -205,9 +205,10 @@ def train_target(cfg: ExperimentConfig, target_train: Graph, num_classes: int,
         )
 
 
-def _openblas_thread_setter():
-    """The loaded OpenBLAS's ``set_num_threads`` function, or None when
-    no OpenBLAS with one of the known symbol names is mapped."""
+def openblas_threads():
+    """The loaded OpenBLAS's ``get_num_threads`` and ``set_num_threads``
+    functions, or None when no OpenBLAS with one of the known symbol names
+    is mapped into this process."""
     try:
         with open("/proc/self/maps") as fh:
             libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
@@ -215,40 +216,69 @@ def _openblas_thread_setter():
         return None
     for path in libs:
         lib = ctypes.CDLL(path)
-        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
-                       "openblas_set_num_threads"):
-            setter = getattr(lib, symbol, None)
-            if setter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                return setter
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
     return None
 
 
-def _attack_pool(jobs: int):
-    """A pool of forked workers, each on one BLAS thread, for ``jobs``
-    attack trainings; None when they should train in this process.
+@contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread, then restore the count.
 
-    One worker per CPU this process may run on, and no more than there are
-    jobs. One worker would only add a process, and a worker whose BLAS
-    cannot be pinned would contend with the others for the same cores.
+    Yields whether BLAS was pinned. The last bits of a weight-gradient
+    product over all training pairs (694 rows on the default graph) depend
+    on OpenBLAS's thread count, so every attack classifier trains on one
+    thread, in this process or in a worker forked from it, and which of the
+    two trains it cannot change a bit. The products are small enough that
+    more threads buy nothing.
+    """
+    blas = openblas_threads()
+    if blas is None:
+        yield False
+        return
+    get, set_ = blas
+    threads = get()
+    set_(1)
+    try:
+        yield True
+    finally:
+        set_(threads)
+
+
+# The worker count measured: two workers on a 2-core host. Each worker
+# holds its own copy of the process (45-48 MB on the default graph), so
+# more are not made until a many-core host has been measured.
+_MAX_WORKERS = 2
+
+
+def _attack_pool(jobs: int):
+    """A pool of workers forked from this process for ``jobs`` attack
+    trainings; None when they should train in this process.
+
+    One worker per CPU this process may run on, at most ``_MAX_WORKERS``
+    and no more than there are jobs; one worker would only add a process.
+    Call it with BLAS pinned (``_one_blas_thread``): a worker inherits the
+    count, and unpinned workers would contend for the same cores.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(jobs, cpus)
+    workers = min(jobs, cpus, _MAX_WORKERS)
     if workers < 2:
-        return None
-    setter = _openblas_thread_setter()
-    if setter is None:
         return None
     # Imported here, so runs that train in-process never load them.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     # Forked, not spawned: a worker starts with the package loaded and with
-    # this module's globals, a patched train_attack and the setter included.
-    # The pool forks every worker before it starts its own thread, and
-    # OpenBLAS stops its threads across a fork (its atfork handler).
-    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=setter, initargs=(1,))
+    # this module's globals, a patched train_attack and the BLAS pin
+    # included. The pool forks every worker before it starts its own
+    # thread, and OpenBLAS stops its threads across a fork (its atfork
+    # handler).
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
 
 
 def _train_job(attack_id, inputs, labels, seed, epochs, learning_rate, dropout_rate):
@@ -278,7 +308,9 @@ def _shadow_side(cfg: ExperimentConfig, shadow_train: Graph, shadow_test: Graph,
 
     This process assembles each attack's inputs in turn; the trainings,
     each independent of the others, run in ``_attack_pool``'s workers
-    while later inputs are assembled, or here when there is no pool.
+    while later inputs are assembled, or here when there is no pool. Both
+    train on one OpenBLAS thread (``_one_blas_thread``), so the path
+    cannot change a classifier.
     """
     with _stage("shadow-train"):
         shadow = train_gnn(
@@ -290,28 +322,29 @@ def _shadow_side(cfg: ExperimentConfig, shadow_train: Graph, shadow_test: Graph,
         attack_train = build_pair_dataset(shadow_train, derive_seed(run_seed, "attack-train-pairs"))
     table = PosteriorTable(shadow, shadow_train, query_temperature(cfg.defense))
     attacks = cfg.active_attacks()
-    pool = _attack_pool(len(attacks))
-    submit = _Finished if pool is None else pool.submit
-    try:
-        trainings = {}
-        for attack_id in attacks:
-            with _stage(f"attack-{attack_id}"):
-                inputs = attack_dataset_inputs(
-                    spec_for(attack_id), table, shadow_train, attack_train.pairs,
-                    defense=cfg.defense, transfer=transfer, pairwise=cfg.pairwise,
-                )
-                trainings[attack_id] = submit(
-                    _train_job, attack_id, inputs, attack_train.labels,
-                    derive_seed(run_seed, "attack-train", attack_id),
-                    cfg.attack_epochs, cfg.learning_rate, cfg.dropout,
-                )
-        models: dict[str, MultiInputMlp] = {}
-        for attack_id, training in trainings.items():
-            with _stage(f"attack-{attack_id}"):
-                models[attack_id] = training.result()
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+    with _one_blas_thread() as pinned:
+        pool = _attack_pool(len(attacks)) if pinned else None
+        submit = _Finished if pool is None else pool.submit
+        try:
+            trainings = {}
+            for attack_id in attacks:
+                with _stage(f"attack-{attack_id}"):
+                    inputs = attack_dataset_inputs(
+                        spec_for(attack_id), table, shadow_train, attack_train.pairs,
+                        defense=cfg.defense, transfer=transfer, pairwise=cfg.pairwise,
+                    )
+                    trainings[attack_id] = submit(
+                        _train_job, attack_id, inputs, attack_train.labels,
+                        derive_seed(run_seed, "attack-train", attack_id),
+                        cfg.attack_epochs, cfg.learning_rate, cfg.dropout,
+                    )
+            models: dict[str, MultiInputMlp] = {}
+            for attack_id, training in trainings.items():
+                with _stage(f"attack-{attack_id}"):
+                    models[attack_id] = training.result()
+        finally:
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
     return shadow, evaluate_accuracy(shadow, shadow_test), attack_train, models
 
 

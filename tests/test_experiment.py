@@ -1,6 +1,5 @@
 """Orchestration: configs, determinism, threat model, transfer, sweep, CLI."""
 
-import ctypes
 import multiprocessing
 import os
 from dataclasses import replace
@@ -211,17 +210,8 @@ class TestRunExperiment:
 def _blas_threads() -> int:
     """The loaded OpenBLAS's thread count; at module level, so a pool
     worker can run it."""
-    with open("/proc/self/maps") as fh:
-        libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-    for path in libs:
-        lib = ctypes.CDLL(path)
-        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                       "openblas_get_num_threads"):
-            getter = getattr(lib, symbol, None)
-            if getter is not None:
-                getter.restype = ctypes.c_int
-                return int(getter())
-    raise AssertionError("no OpenBLAS thread-count getter")
+    get, _ = experiment.openblas_threads()
+    return int(get())
 
 
 class TestAttackPool:
@@ -241,41 +231,55 @@ class TestAttackPool:
         monkeypatch.setattr(experiment, "_attack_pool", recording)
         return made
 
+    @staticmethod
+    def shadow_models(cfg, graph, bundle):
+        *_, pairs, models = experiment._shadow_side(
+            cfg, bundle.shadow_train, bundle.shadow_test, graph.num_classes, cfg.seed, False)
+        assert list(models) == list(cfg.attacks)
+        return len(pairs.labels), {a: [p.data.tobytes() for p in m.parameters()]
+                                   for a, m in models.items()}
+
     def test_pooled_models_match_in_process_models(self, monkeypatch):
         cfg = small_cfg(attacks=ALL_ATTACK_IDS, epochs=10, attack_epochs=10)
         graph = load_or_generate(cfg)
         bundle = make_splits(graph, derive_seed(cfg.seed, "split"))
         made = self.pools(monkeypatch)
-
-        def shadow_models():
-            *_, models = experiment._shadow_side(cfg, bundle.shadow_train, bundle.shadow_test,
-                                                 graph.num_classes, cfg.seed, False)
-            assert list(models) == list(ALL_ATTACK_IDS)
-            return {a: [p.data.tobytes() for p in m.parameters()] for a, m in models.items()}
-
         self.cpus(monkeypatch, 2)
-        pooled = shadow_models()
+        _, pooled = self.shadow_models(cfg, graph, bundle)
         self.cpus(monkeypatch, 1)
-        setter = experiment._openblas_thread_setter()
-        if setter:
-            # a worker runs one BLAS thread, and OpenBLAS's last bits can
-            # depend on its thread count
-            threads = _blas_threads()
-            setter(1)
-        try:
-            in_process = shadow_models()
-        finally:
-            if setter:
-                setter(threads)
-        assert [pool is not None for pool in made] == [setter is not None, False]
+        _, in_process = self.shadow_models(cfg, graph, bundle)
+        pinned = experiment.openblas_threads() is not None
+        assert [pool is not None for pool in made] == ([True, False] if pinned else [])
         assert pooled == in_process
         assert multiprocessing.active_children() == []
+
+    def test_joint_run_matches_single_attack_runs_at_default_size(self):
+        # The default graph gives enough training pairs that OpenBLAS
+        # threads its weight-gradient products on a multi-core host, so the
+        # pooled and the in-process path must both train on one thread.
+        cfg = ExperimentConfig(attacks=("a0", "a2", "a6", "b1"), runs=1, seed=4,
+                               epochs=10, attack_epochs=10)
+        graph = load_or_generate(cfg)
+        bundle = make_splits(graph, derive_seed(cfg.seed, "split"))
+        pairs, joint = self.shadow_models(cfg, graph, bundle)
+        assert pairs >= 694
+        for attack_id in cfg.attacks:
+            _, alone = self.shadow_models(replace(cfg, attacks=(attack_id,)), graph, bundle)
+            assert alone == {attack_id: joint[attack_id]}
 
     def test_single_attack_or_cpu_trains_in_process(self, monkeypatch):
         self.cpus(monkeypatch, 1)
         assert experiment._attack_pool(13) is None
         self.cpus(monkeypatch, 4)
         assert experiment._attack_pool(1) is None
+
+    def test_worker_count_is_capped(self, monkeypatch):
+        self.cpus(monkeypatch, 64)
+        pool = experiment._attack_pool(13)
+        try:
+            assert pool._max_workers == experiment._MAX_WORKERS
+        finally:
+            pool.shutdown()
 
     def test_worker_error_names_its_stage(self, monkeypatch):
         original_train = experiment.train_attack
@@ -293,17 +297,23 @@ class TestAttackPool:
         run_experiment(small_cfg(attacks=("a1", "b1"), epochs=5, attack_epochs=5))
         assert multiprocessing.active_children() == []
 
-    def test_workers_run_one_blas_thread(self, monkeypatch):
-        if experiment._openblas_thread_setter() is None:
+    @pytest.mark.parametrize("cpus", [2, 1])
+    def test_every_training_runs_on_one_blas_thread(self, monkeypatch, cpus):
+        if experiment.openblas_threads() is None:
             pytest.skip("no OpenBLAS loaded")
+        original_train = experiment.train_attack
+
+        def checked(*args, **kwargs):
+            if _blas_threads() != 1:
+                raise AssertionError(f"trained on {_blas_threads()} BLAS threads")
+            return original_train(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "train_attack", checked)  # forked workers inherit it
+        self.cpus(monkeypatch, cpus)
         before = _blas_threads()
-        self.cpus(monkeypatch, 2)
-        pool = experiment._attack_pool(2)
-        try:
-            counts = [pool.submit(_blas_threads) for _ in range(4)]
-            assert [count.result() for count in counts] == [1] * 4
-        finally:
-            pool.shutdown()
+        made = self.pools(monkeypatch)
+        run_experiment(small_cfg(attacks=("a1", "a4", "b1"), epochs=5, attack_epochs=5))
+        assert [pool is not None for pool in made] == [cpus > 1]
         assert _blas_threads() == before
 
 
