@@ -194,7 +194,7 @@ def attack_dataset_inputs(spec: AttackSpec, table: PosteriorTable | None, graph:
             out["posterior"] = label_only_feature(post_u.argmax(axis=1), post_v.argmax(axis=1),
                                                   table.model.num_classes)
         elif transfer:
-            out["posterior"] = np.array([transfer_block(pu, pv) for pu, pv in zip(post_u, post_v)])
+            out["posterior"] = transfer_block(post_u, post_v)
         else:
             out["posterior"] = pairwise_concat(post_u, post_v, pairwise)
     if spec.uses_node_attrs:

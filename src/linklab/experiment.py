@@ -38,11 +38,11 @@ from .defenses import DP_KINDS, DefenseConfig, perturb_graph, query_temperature
 from .features import (
     PAIRWISE_OP_NAMES,
     PosteriorTable,
-    cosine_similarity,
     export_features_csv,
     graph_block_names,
     node_attr_block_names,
     proximity_counts,
+    row_cosine,
 )
 from .gnn import ARCHITECTURES, TrainedGnn, evaluate_accuracy, save_gnn, train_gnn
 from .graph import Graph, load_dataset
@@ -509,11 +509,10 @@ def run_defense_sweep(cfg: ExperimentConfig, epsilons) -> SweepReport:
 
 def pair_metric_values(graph: Graph, pairs) -> dict[str, np.ndarray]:
     """The four robustness metrics for each pair, pair edge excluded."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     cns, jacs, pas = proximity_counts(graph, pairs)
-    sims = [cosine_similarity(graph.features[u], graph.features[v])
-            for u, v in np.asarray(pairs).tolist()]
     return {
-        "node_similarity": np.array(sims),
+        "node_similarity": row_cosine(graph.features[pairs[:, 0]], graph.features[pairs[:, 1]]),
         "common_neighbors": cns.astype(np.float64),
         "preferential_attachment": pas.astype(np.float64),
         "jaccard": jacs,
@@ -716,6 +715,17 @@ def _parse_hops(text: str) -> tuple[int | None, ...]:
         raise ValueError(f"hops must list 0, 1, 2 or none, got {text!r}") from None
 
 
+def _parsed(mapping: dict[str, str], key: str, default, kind: type):
+    """``mapping[key]`` read as ``kind``, or ``default`` when absent."""
+    if key not in mapping:
+        return default
+    try:
+        return kind(mapping[key])
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{key} must be {noun}, got {mapping[key]!r}") from None
+
+
 def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
     """Build a typed config from string keys; unknown keys are rejected."""
     known = {
@@ -732,21 +742,21 @@ def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
 
     get = mapping.get
     synthetic = SyntheticSpec(
-        nodes=int(get("synthetic_nodes", 400)),
-        communities=int(get("synthetic_communities", 4)),
-        p_in=float(get("synthetic_p_in", 0.1)),
-        p_out=float(get("synthetic_p_out", 0.005)),
-        feature_dim=int(get("synthetic_feature_dim", 32)),
-        noise=float(get("synthetic_noise", 1.0)),
+        nodes=_parsed(mapping, "synthetic_nodes", 400, int),
+        communities=_parsed(mapping, "synthetic_communities", 4, int),
+        p_in=_parsed(mapping, "synthetic_p_in", 0.1, float),
+        p_out=_parsed(mapping, "synthetic_p_out", 0.005, float),
+        feature_dim=_parsed(mapping, "synthetic_feature_dim", 32, int),
+        noise=_parsed(mapping, "synthetic_noise", 1.0, float),
     )
     defense_kind = DEFENSE_ALIASES.get(get("defense", "none"))
     if defense_kind is None:
         raise ValueError(f"unknown defense {mapping['defense']!r}")
     defense = DefenseConfig(
         kind=defense_kind,
-        temperature=float(get("temperature", 20.0)),
-        epsilon=float(mapping["epsilon"]) if "epsilon" in mapping else None,
-        budget_split=float(get("budget_split", 0.01)),
+        temperature=_parsed(mapping, "temperature", 20.0, float),
+        epsilon=_parsed(mapping, "epsilon", None, float),
+        budget_split=_parsed(mapping, "budget_split", 0.01, float),
     )
     attacks = tuple(a.strip() for a in get("attacks", "a1").split(",") if a.strip())
     target_arch = ARCH_ALIASES.get(get("target_arch", "sage"))
@@ -761,13 +771,13 @@ def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
         attacks=attacks,
         defense=defense,
         hops=_parse_hops(mapping["hops"]) if "hops" in mapping else None,
-        shadow_fraction=float(get("shadow_fraction", 1.0)),
-        runs=int(get("runs", 5)),
-        seed=int(get("seed", 0)),
-        epochs=int(get("epochs", 200)),
-        attack_epochs=int(get("attack_epochs", 200)),
-        hidden=int(get("hidden", 128)),
-        learning_rate=float(get("learning_rate", 0.001)),
-        dropout=float(get("dropout", 0.5)),
+        shadow_fraction=_parsed(mapping, "shadow_fraction", 1.0, float),
+        runs=_parsed(mapping, "runs", 5, int),
+        seed=_parsed(mapping, "seed", 0, int),
+        epochs=_parsed(mapping, "epochs", 200, int),
+        attack_epochs=_parsed(mapping, "attack_epochs", 200, int),
+        hidden=_parsed(mapping, "hidden", 128, int),
+        learning_rate=_parsed(mapping, "learning_rate", 0.001, float),
+        dropout=_parsed(mapping, "dropout", 0.5, float),
         pairwise=get("pairwise_ops", "all"),
     )

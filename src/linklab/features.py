@@ -83,15 +83,6 @@ class PosteriorTable:
                 np.array([self.query(v, hop, (u, v)) for u, v in pairs]))
 
 
-def require_distribution(p: np.ndarray) -> np.ndarray:
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError("posterior must be a non-empty vector")
-    if p.min() < -1e-9 or abs(p.sum() - 1.0) > 1e-6:
-        raise ValueError("posterior is not a probability distribution")
-    return p
-
-
 def node_attr_block(features_u: np.ndarray, features_v: np.ndarray) -> np.ndarray:
     """Hadamard product of the two attribute rows."""
     a = np.asarray(features_u, dtype=np.float64)
@@ -127,73 +118,62 @@ def graph_block(graph: Graph, pairs) -> np.ndarray:
     return np.column_stack(proximity_counts(graph, pairs))
 
 
-def entropy(p: np.ndarray) -> float:
-    """Shannon entropy in nats."""
-    p = require_distribution(p)
-    nz = p[p > 0.0]
-    return float(-(nz * np.log(nz)).sum())
+def _distribution_rows(p: np.ndarray) -> np.ndarray:
+    """``p`` as an ``(m, C)`` float array whose every row is a probability
+    distribution; the error names the first row that is not."""
+    p = np.asarray(p, dtype=np.float64)
+    if p.ndim != 2 or p.shape[1] == 0:
+        raise ValueError(f"posteriors must be an (m, C) array with C > 0, got shape {p.shape}")
+    bad = np.flatnonzero((p.min(axis=1) < -1e-9) | (np.abs(p.sum(axis=1) - 1.0) > 1e-6))
+    if bad.size:
+        raise ValueError(f"posterior row {bad[0]} is not a probability distribution: "
+                         f"{p[bad[0]].tolist()}")
+    return p
 
 
-def _pad_common(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    width = max(a.size, b.size)
-    pa = np.zeros(width)
-    pb = np.zeros(width)
-    pa[: a.size] = a
-    pb[: b.size] = b
-    return pa, pb
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    a, b = _pad_common(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))
-
-
-def js_divergence(p: np.ndarray, q: np.ndarray) -> float:
-    """Jensen-Shannon divergence in nats, zero-padding shorter inputs."""
-    p, q = _pad_common(require_distribution(p), require_distribution(q))
-    m = (p + q) / 2.0
-
-    def kl(x, y):
-        mask = x > 0.0
-        return float((x[mask] * np.log(x[mask] / y[mask])).sum())
-
-    return 0.5 * kl(p, m) + 0.5 * kl(q, m)
-
-
-def correlation_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """``1 - Pearson r``; zero when either vector is constant."""
-    a, b = _pad_common(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
-    da = a - a.mean()
-    db = b - b.mean()
-    va = np.dot(da, da)
-    vb = np.dot(db, db)
-    if va == 0.0 or vb == 0.0:
-        return 0.0
-    return float(1.0 - np.dot(da, db) / np.sqrt(va * vb))
+def row_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cosine similarity of each row of ``a`` with the same row of ``b``;
+    zero where either row is all zeros."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ValueError(f"cosine needs rows of equal shape, got {a.shape} and {b.shape}")
+    sq_a, sq_b = np.vecdot(a, a), np.vecdot(b, b)
+    return np.divide(np.vecdot(a, b), np.sqrt(sq_a) * np.sqrt(sq_b), out=np.zeros(len(a)),
+                     where=(sq_a != 0.0) & (sq_b != 0.0))
 
 
 def transfer_block(post_u: np.ndarray, post_v: np.ndarray) -> np.ndarray:
-    """Class-count-independent posterior features for cross-dataset shadows.
+    """Class-count-independent posterior features for cross-dataset shadows,
+    one row of seven per pair of ``(m, C)`` posterior rows.
 
-    Four pairwise combinations of the two posterior entropies, then cosine
-    similarity, JS divergence, and correlation distance of the posterior
-    vectors (zero-padded when class counts differ).
+    Four pairwise combinations of the two posterior entropies (nats), then
+    cosine similarity, Jensen-Shannon divergence (nats) and correlation
+    distance ``1 - Pearson r`` (zero when either row is constant) of the
+    posterior vectors. Both posteriors must have the same width.
     """
-    pu = require_distribution(post_u)
-    pv = require_distribution(post_v)
-    eu = np.array([entropy(pu)])
-    ev = np.array([entropy(pv)])
-    ent_parts = pairwise_concat(eu, ev, "all")
-    similarity = np.array([
-        cosine_similarity(pu, pv),
-        js_divergence(pu, pv),
-        correlation_distance(pu, pv),
+    pu, pv = _distribution_rows(post_u), _distribution_rows(post_v)
+    if pu.shape != pv.shape:
+        raise ValueError(f"transfer block needs posteriors of equal shape, "
+                         f"got {pu.shape} and {pv.shape}")
+    mid = (pu + pv) / 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        entropy_u = -np.where(pu > 0.0, pu * np.log(pu), 0.0).sum(axis=1)
+        entropy_v = -np.where(pv > 0.0, pv * np.log(pv), 0.0).sum(axis=1)
+        kl_u = np.where(pu > 0.0, pu * np.log(pu / mid), 0.0).sum(axis=1)
+        kl_v = np.where(pv > 0.0, pv * np.log(pv / mid), 0.0).sum(axis=1)
+    du = pu - pu.mean(axis=1, keepdims=True)
+    dv = pv - pv.mean(axis=1, keepdims=True)
+    var_u, var_v = np.vecdot(du, du), np.vecdot(dv, dv)
+    varying = (var_u != 0.0) & (var_v != 0.0)
+    pearson = np.divide(np.vecdot(du, dv), np.sqrt(var_u * var_v),
+                        out=np.zeros(len(pu)), where=varying)
+    return np.column_stack([
+        pairwise_concat(entropy_u[:, None], entropy_v[:, None], "all"),
+        row_cosine(pu, pv),
+        0.5 * kl_u + 0.5 * kl_v,
+        np.where(varying, 1.0 - pearson, 0.0),
     ])
-    return np.concatenate([ent_parts, similarity])
 
 
 def posterior_block_names(num_classes: int, ops: str = "all") -> list[str]:
@@ -224,5 +204,5 @@ def export_features_csv(path: str, columns: list[str], matrix: np.ndarray) -> No
         raise ValueError("column names must match matrix width")
     with open(path, "w") as fh:
         fh.write(",".join(columns) + "\n")
-        for row in matrix:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+        for row in matrix.tolist():
+            fh.write(",".join(map(repr, row)) + "\n")

@@ -288,8 +288,8 @@ def save_dataset(g: Graph, directory: str) -> None:
     os.makedirs(directory, exist_ok=True)
     np.savetxt(os.path.join(directory, "edges.tsv"), g.edges, fmt="%d", delimiter="\t")
     with open(os.path.join(directory, "features.csv"), "w") as fh:
-        for row in g.features:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+        for row in g.features.tolist():
+            fh.write(",".join(map(repr, row)) + "\n")
     with open(os.path.join(directory, "labels.csv"), "w") as fh:
         for c in g.labels:
             fh.write(f"{int(c)}\n")

@@ -7,6 +7,7 @@ and negative sampling from a Python list of every non-edge. The builder
 and the sampler must match them bitwise.
 """
 
+import feature_oracles
 import numpy as np
 import pytest
 from graph_oracles import adjacency_sets, proximity_oracle
@@ -21,7 +22,6 @@ from linklab.features import (
     PosteriorTable,
     node_attr_block,
     pairwise_concat,
-    transfer_block,
 )
 from linklab.gnn import train_gnn
 from linklab.graph import Graph
@@ -47,7 +47,7 @@ def reference_features(spec, table, graph, pair, defense=None, transfer=False, p
                 int(np.argmax(post_u)), int(np.argmax(post_v)), table.model.num_classes
             )
         elif transfer:
-            out["posterior"] = transfer_block(post_u, post_v)
+            out["posterior"] = feature_oracles.transfer_block(post_u, post_v)
         else:
             out["posterior"] = pairwise_concat(post_u, post_v, pairwise)
     if spec.uses_node_attrs:

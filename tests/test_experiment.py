@@ -4,6 +4,7 @@ import multiprocessing
 import os
 from dataclasses import replace
 
+import feature_oracles
 import numpy as np
 import pytest
 from graph_oracles import adjacency_sets, proximity_oracle
@@ -26,7 +27,6 @@ from linklab.experiment import (
     write_analyses,
     write_reports,
 )
-from linklab.features import cosine_similarity
 from linklab.graph import Graph, save_dataset
 from linklab.rng import derive_seed
 
@@ -68,6 +68,13 @@ class TestConfig:
                 ExperimentConfig(**bad)
         for key, value in (("attacks", ","), ("hops", "x"), ("hops", "1,3")):
             with pytest.raises(ValueError, match=key):
+                config_from_mapping({key: value})
+        for key, value, kind in (("runs", "x", "an integer"), ("seed", "1.5", "an integer"),
+                                 ("synthetic_nodes", "", "an integer"),
+                                 ("synthetic_p_in", "abc", "a number"),
+                                 ("epsilon", "1,2", "a number"),
+                                 ("learning_rate", "fast", "a number")):
+            with pytest.raises(ValueError, match=f"^{key} must be {kind}, got {value!r}$"):
                 config_from_mapping({key: value})
         for defense, key in (("edgerand", "epsilon"), ("lapgraph", "epsilon"),
                              ("soft", "temperature")):
@@ -442,7 +449,8 @@ class TestPairMetricValues:
         pairs = [(0, 1), (5, 9), (20, 40)]
         values = pair_metric_values(g, pairs)
         for i, (u, v) in enumerate(pairs):
-            assert values["node_similarity"][i] == cosine_similarity(g.features[u], g.features[v])
+            assert values["node_similarity"][i] == feature_oracles.cosine_similarity(
+                g.features[u], g.features[v])
             cn, jac, pa = proximity_oracle(adjacency_sets(g), u, v)
             assert values["common_neighbors"][i] == cn
             assert values["jaccard"][i] == jac
@@ -600,6 +608,17 @@ class TestCli:
         missing = str(tmp_path / "no-such-dataset")
         with pytest.raises(ValueError, match=r"unknown config keys: \['epsilons'\]"):
             cli_main([verb, "--config", str(config), "--dataset", missing])
+
+    @pytest.mark.parametrize("line, match", [
+        ("runs = x", "runs must be an integer, got 'x'"),
+        ("synthetic_p_in = abc", "synthetic_p_in must be a number, got 'abc'"),
+    ])
+    def test_config_value_that_does_not_parse_names_its_key(self, tmp_path, line, match):
+        config = tmp_path / "bad.cfg"
+        config.write_text(line + "\n")
+        missing = str(tmp_path / "no-such-dataset")
+        with pytest.raises(ValueError, match=match):
+            cli_main(["attack", "--config", str(config), "--dataset", missing])
 
     @pytest.mark.parametrize("flags, error, match", [
         (["attack", "--defense", "edgerand", "--epsilon", "nan"], ValueError, "epsilon > 0, got nan"),

@@ -2,25 +2,25 @@
 
 import math
 
+import feature_oracles
 import numpy as np
 import pytest
 from graph_oracles import adjacency_sets, proximity_oracle, raw_graphs
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linklab.attacks import attack_dataset_inputs, spec_for
 from linklab.data import generate_planted_partition, make_splits
 from linklab.features import (
     PosteriorTable,
-    correlation_distance,
-    entropy,
     export_features_csv,
     graph_block,
-    js_divergence,
     node_attr_block,
     pairwise_concat,
     pairwise_ops,
     posterior_block_names,
     proximity_counts,
+    row_cosine,
     transfer_block,
 )
 from linklab.gnn import train_gnn
@@ -151,10 +151,42 @@ class TestGraphBlock:
         np.testing.assert_array_equal(block, np.array(expected, dtype=np.float64).reshape(-1, 3))
 
 
+@st.composite
+def distribution_rows(draw, width):
+    """One probability row: one-hot, uniform, or normalized weights that
+    may hold exact zeros."""
+    kind = draw(st.sampled_from(("one_hot", "uniform", "weights")))
+    if kind == "uniform":
+        return np.full(width, 1.0 / width)
+    row = np.zeros(width)
+    if kind == "one_hot":
+        row[draw(st.integers(0, width - 1))] = 1.0
+        return row
+    weight = st.sampled_from((0.0, 1.0)) | st.floats(1e-6, 1.0)
+    row[:] = draw(st.lists(weight, min_size=width, max_size=width))
+    if row.sum() == 0.0:
+        row[draw(st.integers(0, width - 1))] = 1.0
+    return row / row.sum()
+
+
+@st.composite
+def feature_rows(draw, width):
+    """An attribute row, all zeros one time in four."""
+    if draw(st.integers(0, 3)) == 0:
+        return np.zeros(width)
+    values = st.sampled_from((0.0, 1.0, -1.0)) | st.floats(-10.0, 10.0)
+    return np.array(draw(st.lists(values, min_size=width, max_size=width)))
+
+
+def transfer(p, q):
+    """The block of one pair."""
+    return transfer_block(np.atleast_2d(p), np.atleast_2d(q))[0]
+
+
 class TestTransferBlock:
     def test_identical_posteriors(self):
         p = np.array([0.2, 0.3, 0.5])
-        block = transfer_block(p, p)
+        block = transfer(p, p)
         # entropy L1/L2 parts zero, cosine 1, JSD 0, correlation distance 0
         assert block[2] == 0.0 and block[3] == 0.0
         assert block[4] == pytest.approx(1.0, abs=1e-12)
@@ -164,47 +196,66 @@ class TestTransferBlock:
     def test_one_hot_closed_forms(self):
         p = np.array([1.0, 0.0])
         q = np.array([0.0, 1.0])
-        block = transfer_block(p, q)
+        block = transfer(p, q)
         np.testing.assert_allclose(block[:4], [0.0, 0.0, 0.0, 0.0], atol=1e-12)
         assert block[4] == pytest.approx(0.0, abs=1e-12)
         assert block[5] == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_length_seven_and_symmetric(self):
         rng = np.random.default_rng(4)
-        for _ in range(50):
-            p = rng.dirichlet(np.ones(5))
-            q = rng.dirichlet(np.ones(5))
-            fwd = transfer_block(p, q)
-            rev = transfer_block(q, p)
-            assert fwd.shape == (7,)
-            assert np.array_equal(fwd, rev)
+        p = rng.dirichlet(np.ones(5), size=50)
+        q = rng.dirichlet(np.ones(5), size=50)
+        fwd = transfer_block(p, q)
+        assert fwd.shape == (50, 7)
+        assert np.array_equal(fwd, transfer_block(q, p))
 
     def test_jsd_bounded_and_symmetric(self):
         rng = np.random.default_rng(5)
-        for _ in range(100):
-            p = rng.dirichlet(np.ones(4))
-            q = rng.dirichlet(np.ones(4))
-            d = js_divergence(p, q)
-            assert d == js_divergence(q, p)
-            assert -1e-12 <= d <= math.log(2.0) + 1e-12
+        p = rng.dirichlet(np.ones(4), size=100)
+        q = rng.dirichlet(np.ones(4), size=100)
+        d = transfer_block(p, q)[:, 5]
+        assert np.array_equal(d, transfer_block(q, p)[:, 5])
+        assert (d >= -1e-12).all() and (d <= math.log(2.0) + 1e-12).all()
 
-    def test_mixed_class_counts_padded(self):
-        p = np.array([0.5, 0.5])
-        q = np.array([0.25, 0.25, 0.25, 0.25])
-        block = transfer_block(p, q)
-        assert block.shape == (7,)
-        assert np.isfinite(block).all()
+    def test_width_mismatch_names_both_shapes(self):
+        p = np.full((3, 2), 0.5)
+        q = np.full((3, 4), 0.25)
+        with pytest.raises(ValueError, match=r"\(3, 2\) and \(3, 4\)"):
+            transfer_block(p, q)
 
     def test_entropy_values(self):
-        assert entropy(np.array([1.0, 0.0])) == pytest.approx(0.0, abs=1e-12)
-        assert entropy(np.full(4, 0.25)) == pytest.approx(math.log(4.0), abs=1e-12)
+        one_hot = transfer([1.0, 0.0], [1.0, 0.0])
+        assert one_hot[1] == pytest.approx(0.0, abs=1e-12)
+        uniform = transfer(np.full(4, 0.25), np.full(4, 0.25))
+        assert uniform[1] == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_correlation_distance_degenerate(self):
-        assert correlation_distance(np.array([0.5, 0.5]), np.array([0.9, 0.1])) == 0.0
+        assert transfer([0.5, 0.5], [0.9, 0.1])[6] == 0.0
 
     def test_rejects_non_distribution(self):
-        with pytest.raises(ValueError):
-            transfer_block(np.array([0.9, 0.3]), np.array([0.5, 0.5]))
+        good = np.full((3, 2), 0.5)
+        bad = good.copy()
+        bad[1] = [0.9, 0.3]
+        with pytest.raises(ValueError, match=r"posterior row 1 .*\[0\.9, 0\.3\]"):
+            transfer_block(good, bad)
+        with pytest.raises(ValueError, match="posterior row 1"):
+            transfer_block(bad, good)
+        with pytest.raises(ValueError, match="shape"):
+            transfer_block(np.array([0.5, 0.5]), np.array([0.5, 0.5]))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(2, 16), st.integers(1, 12))
+    def test_matches_per_pair_oracle(self, data, width, m):
+        post_u = np.array([data.draw(distribution_rows(width)) for _ in range(m)])
+        post_v = np.array([data.draw(distribution_rows(width)) for _ in range(m)])
+        expected = np.array([feature_oracles.transfer_block(pu, pv)
+                             for pu, pv in zip(post_u, post_v)])
+        np.testing.assert_allclose(transfer_block(post_u, post_v), expected, rtol=0, atol=1e-14)
+        feats_u = np.array([data.draw(feature_rows(width)) for _ in range(m)])
+        feats_v = np.array([data.draw(feature_rows(width)) for _ in range(m)])
+        expected = [feature_oracles.cosine_similarity(a, b) for a, b in zip(feats_u, feats_v)]
+        np.testing.assert_allclose(row_cosine(feats_u, feats_v), expected, rtol=0, atol=1e-14)
 
 
 @pytest.fixture(scope="module")
@@ -251,10 +302,14 @@ class TestCsvExport:
         path = str(tmp_path / "features.csv")
         cols = posterior_block_names(2)
         mat = np.arange(16, dtype=float).reshape(2, 8)
+        mat[0, :5] = [-0.0, 1e-5, 1e16, 5e-324, 0.1 + 0.2]
         export_features_csv(path, cols, mat)
         lines = open(path).read().strip().split("\n")
         assert lines[0].split(",") == cols
         assert len(lines) == 3
+        # the per-cell formatter the row-wise writer replaced
+        assert lines[1:] == [",".join(repr(float(x)) for x in row) for row in mat]
+        assert lines[1].startswith("-0.0,1e-05,1e+16,5e-324,0.30000000000000004,")
 
     def test_rejects_width_mismatch(self, tmp_path):
         with pytest.raises(ValueError):

@@ -230,7 +230,14 @@ class TestDatasetIo:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(5)
         g = random_graph(rng, 15, 0.2)
+        feats = g.features.copy()
+        feats[0, :3] = [-0.0, 1e-5, 1e16]
+        feats[1, 0] = 5e-324
+        g = Graph(num_nodes=15, edges=g.edges, features=feats, labels=g.labels)
         save_dataset(g, str(tmp_path))
+        # the per-cell formatter the row-wise writer replaced
+        expected = "".join(",".join(repr(float(x)) for x in row) + "\n" for row in g.features)
+        assert (tmp_path / "features.csv").read_text() == expected
         loaded = load_dataset(str(tmp_path))
         np.testing.assert_array_equal(loaded.graph.edges, g.edges)
         np.testing.assert_array_equal(loaded.graph.features, g.features)
