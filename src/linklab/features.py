@@ -7,10 +7,13 @@ independent of pair orientation.
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 
-from .gnn import TrainedGnn, khop_query
-from .graph import Edge, Graph, khop_subgraph, normalize_edge, row_entries
+from .gnn import Neighborhoods, TrainedGnn, center_posteriors
+from .graph import Edge, Graph, normalize_edge, row_entries
 
 PAIRWISE_OP_NAMES = ("hadamard", "average", "weighted_l1", "weighted_l2")
 GRAPH_FEATURE_NAMES = ("common_neighbors", "jaccard", "preferential_attachment")
@@ -42,45 +45,180 @@ def pairwise_concat(a: np.ndarray, b: np.ndarray, ops: str = "all") -> np.ndarra
     return np.concatenate([blocks[name] for name in selected], axis=-1)
 
 
+# Queries per batched pass of a posterior table. A pass holds its queries'
+# subgraphs side by side, so its memory grows with this count. Measured on
+# the 400-node acceptance-size graph (13 attacks, hops 0-2; numpy 2.4 on a
+# 2-core x86 host), one run per size: passes of 16-128 queries peaked the
+# process at 53.7-54.3 MB, as answering one query at a time did (54.0 MB),
+# 256 at 55.5 MB and 1,024 at 69.0 MB, while the run's posterior lookups
+# took 0.16-0.19 s at every size (1.30 s one query at a time).
+PASS_QUERIES = 64
+
+
+@dataclass(frozen=True)
+class TableCounts:
+    """What a ``PosteriorTable`` did so far: posterior lookups, distinct
+    queries computed, and the disjoint-union node count of each pass."""
+
+    lookups: int
+    computed: int
+    union_nodes: tuple[int, ...]
+
+    @property
+    def passes(self) -> int:
+        return len(self.union_nodes)
+
+
 class PosteriorTable:
     """Center posteriors of one trained model on one query graph at one
     output temperature, each distinct k-hop query computed once per run.
 
-    The key drops an exclusion that cannot change the query subgraph: any
-    exclusion at hop 0, and a non-edge at any hop. Every stored posterior
-    is thus bitwise the ``khop_query`` of the pair's own ``khop_subgraph``.
+    A query is the center's ``hop``-hop BFS subgraph of the graph with one
+    edge removed, as ``graph.khop_subgraph`` builds it: explicit self-loops
+    are dropped and every node gets one forced self-loop. Its key is
+    (center, hop, removed edge); no edge is removed at hop 0 or for a
+    non-edge, which cannot change the subgraph.
+
+    Each call gathers the keys it lacks, sorts them, and computes them in
+    passes of ``PASS_QUERIES``: the query subgraphs of a pass side by side
+    as one block-diagonal graph, through one ``gnn.center_posteriors``
+    forward. A row's last bit may depend on its pass, so a pass depends
+    only on the call's sorted missing keys: the same calls give the same
+    rows bit for bit.
     """
 
     def __init__(self, model: TrainedGnn, graph: Graph, temperature: float = 1.0):
-        if temperature <= 0:
-            raise ValueError(f"temperature must be positive, got {temperature}")
+        if not (math.isfinite(temperature) and temperature > 0):
+            raise ValueError(f"temperature must be finite and positive, got {temperature}")
+        if graph.feature_dim != model.in_dim:
+            raise ValueError(f"graph feature dim {graph.feature_dim} != model in_dim {model.in_dim}")
         self.model = model
         self.graph = graph
         self.temperature = float(temperature)
-        self._posteriors: dict[tuple[int, int, Edge | None], np.ndarray] = {}
+        n = graph.num_nodes
+        if 3 * n * (n + 1) ** 2 >= 2 ** 63:
+            raise ValueError(f"{n} nodes overflow the int64 query keys")
+        self._edge_keys = graph.edges[:, 0] * n + graph.edges[:, 1]
+        self._keys = np.zeros(0, dtype=np.int64)
+        self._posteriors = np.zeros((0, model.num_classes))
+        self._lookups = 0
+        self._union_nodes: list[int] = []
+
+    @property
+    def counts(self) -> TableCounts:
+        return TableCounts(self._lookups, len(self._keys), tuple(self._union_nodes))
 
     def query(self, center: int, hop: int, exclude: Edge | None = None) -> np.ndarray:
         """Read-only posterior of ``center`` on its ``hop``-hop subgraph
         with the edge ``exclude`` removed."""
-        if hop == 0 or exclude is None or not self.graph.has_edge(*exclude):
-            exclude = None
-        else:
-            exclude = normalize_edge(*exclude)
-        key = (center, hop, exclude)
-        post = self._posteriors.get(key)
-        if post is None:
-            post = khop_query(self.model, khop_subgraph(self.graph, center, hop, exclude=exclude),
-                              self.temperature)
-            post.setflags(write=False)
-            self._posteriors[key] = post
+        n = self.graph.num_nodes
+        if not 0 <= center < n:
+            raise ValueError(f"node id {center} out of range [0, {n})")
+        a = b = n
+        if hop != 0 and exclude is not None and self.graph.has_edge(*exclude):
+            a, b = normalize_edge(*exclude)
+        post = self._lookup(hop, np.array([center]), np.array([a]), np.array([b]))[0]
+        post.setflags(write=False)
         return post
 
     def pair_posteriors(self, pairs: np.ndarray, hop: int) -> tuple[np.ndarray, np.ndarray]:
         """Stacked ``(m, C)`` posteriors of the first and of the second node
         of every pair in ``pairs``, each query without the pair's own edge."""
-        pairs = np.asarray(pairs).tolist()
-        return (np.array([self.query(u, hop, (u, v)) for u, v in pairs]),
-                np.array([self.query(v, hop, (u, v)) for u, v in pairs]))
+        n = self.graph.num_nodes
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        outside = ((pairs < 0) | (pairs >= n)).any(axis=1)
+        if outside.any():
+            u, v = pairs[outside][0].tolist()
+            raise ValueError(f"pair ({u}, {v}) has a node outside [0, {n})")
+        lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+        removed = np.zeros(len(pairs), dtype=bool)
+        if hop != 0 and len(self._edge_keys):
+            at = np.searchsorted(self._edge_keys, lo * n + hi).clip(max=len(self._edge_keys) - 1)
+            removed = self._edge_keys[at] == lo * n + hi
+        a, b = np.where(removed, lo, n), np.where(removed, hi, n)
+        posts = self._lookup(hop, pairs.T.ravel(), np.tile(a, 2), np.tile(b, 2))
+        return posts[:len(pairs)], posts[len(pairs):]
+
+    def _lookup(self, hop: int, centers: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Rows for the keys (``centers[i]``, ``hop``, edge (``a[i]``,
+        ``b[i]``)), where ``a = b = n`` removes no edge; missing keys are
+        computed first."""
+        if hop not in (0, 1, 2):
+            raise ValueError(f"hop count must be 0, 1, or 2, got {hop}")
+        n = self.graph.num_nodes
+        codes = ((hop * n + centers) * (n + 1) + a) * (n + 1) + b
+        self._lookups += len(codes)
+        at = np.searchsorted(self._keys, codes)
+        known = np.zeros(len(codes), dtype=bool)
+        inside = at < len(self._keys)
+        known[inside] = self._keys[at[inside]] == codes[inside]
+        missing, first = np.unique(codes[~known], return_index=True)
+        if missing.size:
+            todo = np.flatnonzero(~known)[first]
+            cuts = range(PASS_QUERIES, len(todo), PASS_QUERIES)
+            fresh = [self._pass(hop, centers[i], a[i], b[i]) for i in np.split(todo, cuts)]
+            keys = np.concatenate([self._keys, missing])
+            order = np.argsort(keys, kind="stable")
+            self._keys = keys[order]
+            self._posteriors = np.concatenate([self._posteriors, *fresh])[order]
+            self._posteriors.setflags(write=False)
+            at = np.searchsorted(self._keys, codes)
+        return self._posteriors[at]
+
+    def _neighbor_entries(self, owners: np.ndarray, nodes: np.ndarray, a: np.ndarray,
+                          b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The neighbors of each ``nodes[i]`` in the subgraph of query
+        ``owners[i]``, self-loops and the query's removed edge left out: the
+        index ``i`` of each entry, and the neighbor."""
+        entry, nbrs = row_entries(self.graph, nodes)
+        x, q = nodes[entry], owners[entry]
+        keep = (nbrs != x) & ~(((x == a[q]) & (nbrs == b[q])) | ((x == b[q]) & (nbrs == a[q])))
+        return entry[keep], nbrs[keep]
+
+    def _pass(self, hop: int, centers: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Posteriors of the queries (``centers[i]``, ``hop``, edge
+        (``a[i]``, ``b[i]``)) in one forward over their disjoint union.
+
+        A union node is a (query, node) pair, held as the code
+        ``query * n + node`` and sorted, so each query's nodes are one
+        ascending block. Layer 1 runs on the centers and their neighbors,
+        the ball of depth ``min(hop, 1)``; layer 2 on the centers.
+        """
+        n, q = self.graph.num_nodes, len(centers)
+        union = inner = np.arange(q) * n + centers
+        center_rows = center_nbrs = np.zeros(0, dtype=np.int64)
+        frontier = union
+        for level in range(hop):
+            owners, nodes = np.divmod(frontier, n)
+            entry, nbrs = self._neighbor_entries(owners, nodes, a, b)
+            reached = owners[entry] * n + nbrs
+            frontier = np.setdiff1d(reached, union)
+            union = np.union1d(union, frontier)
+            if level == 0:
+                center_rows, center_nbrs, inner = entry, reached, union
+        # layer 1: each inner node over its neighbors inside its own ball
+        owners, nodes = np.divmod(inner, n)
+        entry, nbrs = self._neighbor_entries(owners, nodes, a, b)
+        reached = owners[entry] * n + nbrs
+        at = np.searchsorted(union, reached).clip(max=len(union) - 1)
+        inside = union[at] == reached
+        first = _neighborhoods(entry[inside], at[inside], np.searchsorted(union, inner), len(union))
+        second = _neighborhoods(center_rows, np.searchsorted(inner, center_nbrs),
+                                np.searchsorted(inner, np.arange(q) * n + centers), len(inner))
+        self._union_nodes.append(len(union))
+        return center_posteriors(self.model, self.graph.features[union % n], first, second,
+                                 self.temperature)
+
+
+def _neighborhoods(rows: np.ndarray, cols: np.ndarray, own: np.ndarray,
+                   num_cols: int) -> Neighborhoods:
+    """CSR neighborhoods over ``num_cols`` input rows: output row ``i``
+    holds ``cols[rows == i]`` and its own row ``own[i]``, ascending."""
+    keys = np.sort(np.concatenate([rows * num_cols + cols, np.arange(len(own)) * num_cols + own]))
+    row, col = np.divmod(keys, num_cols)
+    indptr = np.zeros(len(own) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=len(own)), out=indptr[1:])
+    return Neighborhoods(own, indptr, col)
 
 
 def node_attr_block(features_u: np.ndarray, features_v: np.ndarray) -> np.ndarray:

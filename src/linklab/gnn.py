@@ -1,13 +1,17 @@
 """Inductive GNN layer kernels, two-layer models, training, and k-hop queries.
 
-All four kernels read the neighborhood off a ``MessageStructure``, the one
-place that adds a self-loop to every node, so a 0-hop query (one node and
-no edges) flows through the same code path as whole-graph training.
+Training and ``khop_query`` run the taped kernels, which read the
+neighborhood off a ``MessageStructure``, the one place that adds a
+self-loop to every node, so a 0-hop query (one node and no edges) flows
+through the same code path as whole-graph training. ``center_posteriors``
+answers a batch of queries at once on plain arrays, with no tape, over
+neighborhoods whose self-loops its caller has placed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -281,7 +285,11 @@ def train_gnn(train_graph: Graph, arch: str, seed: int, *, num_classes: int | No
 
 
 def khop_query(model: TrainedGnn, sub: Subgraph, temperature: float = 1.0) -> np.ndarray:
-    """Posterior of the subgraph's center node under the trained model."""
+    """Posterior of the subgraph's center node under the trained model.
+
+    The single-query API: one subgraph, one taped forward. A run's
+    ``features.PosteriorTable`` answers the same queries in batches through
+    ``center_posteriors``, and tests hold it to this function."""
     if sub.feature_view.shape[1] != model.in_dim:
         raise ValueError(
             f"subgraph feature dim {sub.feature_view.shape[1]} != model in_dim {model.in_dim}"
@@ -292,6 +300,86 @@ def khop_query(model: TrainedGnn, sub: Subgraph, temperature: float = 1.0) -> np
     if abs(post.sum() - 1.0) > 1e-9 or post.min() < 0.0:
         raise FloatingPointError("posterior failed normalization check")
     return np.array(post)
+
+
+class Neighborhoods(NamedTuple):
+    """Where one layer of a plain-array forward reads its input rows.
+
+    Output row ``i`` is input row ``own[i]``; its neighborhood is the input
+    rows ``indices[indptr[i]:indptr[i + 1]]`` in ascending order, ``own[i]``
+    among them (the forced self-loop), so no row is empty.
+    """
+
+    own: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    def sum(self, z: np.ndarray) -> np.ndarray:
+        return np.add.reduceat(z[self.indices], self.indptr[:-1], axis=0)
+
+    def mean(self, z: np.ndarray) -> np.ndarray:
+        return self.sum(z) / np.diff(self.indptr)[:, None]
+
+
+def _plain_layer(layer: GnnLayer, h: np.ndarray, nb: Neighborhoods, fixed: bool) -> np.ndarray:
+    """``layer_forward`` at inference on plain arrays, for the output rows of
+    ``nb`` only. ``fixed`` picks the same order as the taped layer: a fixed
+    input is aggregated, then projected; a hidden one is projected first."""
+    p = {name: param.data for name, param in layer.params.items()}
+    if layer.kind == "gcn":
+        out = nb.mean(h) @ p["w"] if fixed else nb.mean(h @ p["w"])
+    elif layer.kind == "sage":
+        if fixed:
+            out = np.concatenate([h[nb.own], nb.mean(h)], axis=1) @ p["w"]
+        else:
+            d = layer.in_dim
+            out = h[nb.own] @ p["w"][:d] + nb.mean(h @ p["w"][d:])
+    elif layer.kind == "gat":
+        starts = nb.indptr[:-1]
+        rows = np.repeat(np.arange(len(nb.own)), np.diff(nb.indptr))
+        heads = []
+        for i in range(layer.heads):
+            z = h @ p[f"w{i}"]
+            # one score per neighborhood entry and a softmax over each row
+            scores = (z[nb.own] @ p[f"a_dst{i}"])[rows, 0] + (z @ p[f"a_src{i}"])[nb.indices, 0]
+            scores = np.where(scores > 0.0, scores, LEAKY_SLOPE * scores)
+            ex = np.exp(scores - np.maximum.reduceat(scores, starts)[rows])
+            attn = ex / np.add.reduceat(ex, starts)[rows]
+            heads.append(np.add.reduceat(attn[:, None] * z[nb.indices], starts, axis=0))
+        out = heads[0] if len(heads) == 1 else np.concatenate(heads, axis=1)
+    elif layer.kind == "gin":
+        eps = float(p["eps"].reshape(()))
+        if fixed:
+            projected = (nb.sum(h) + h[nb.own] * eps) @ p["w1"]
+        else:
+            z = h @ p["w1"]
+            projected = nb.sum(z) + z[nb.own] * eps
+        out = np.maximum(projected + p["b1"], 0.0) @ p["w2"] + p["b2"]
+    else:
+        raise ValueError(f"unknown layer kind {layer.kind!r}")
+    return np.maximum(out, 0.0)
+
+
+def center_posteriors(model: TrainedGnn, features: np.ndarray, first: Neighborhoods,
+                      second: Neighborhoods, temperature: float = 1.0) -> np.ndarray:
+    """Posteriors at ``temperature`` of a batch of query centers, one row
+    each, from a tape-free two-layer forward.
+
+    Layer 1 reads ``features`` through ``first``; layer 2 reads layer 1's
+    rows through ``second``, whose output rows are the centers. Several
+    disjoint query subgraphs side by side form one such batch.
+    """
+    hidden = _plain_layer(model.layer1, features, first, fixed=True)
+    logits = _plain_layer(model.layer2, hidden, second, fixed=False)
+    if not np.isfinite(logits).all():
+        raise FloatingPointError("non-finite values produced in forward pass")
+    z = logits / temperature
+    z -= z.max(axis=1, keepdims=True)
+    ex = np.exp(z)
+    post = ex / ex.sum(axis=1, keepdims=True)
+    if (np.abs(post.sum(axis=1) - 1.0) > 1e-9).any() or (post < 0.0).any():
+        raise FloatingPointError("posterior failed normalization check")
+    return post
 
 
 def evaluate_accuracy(model: TrainedGnn, g: Graph) -> float:
