@@ -40,7 +40,6 @@ from .features import (
 from .gnn import (
     TrainedGnn,
     evaluate_accuracy,
-    khop_query,
     layer_forward,
     load_gnn,
     save_gnn,

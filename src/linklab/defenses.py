@@ -72,8 +72,8 @@ def edge_rand(g: Graph, epsilon: float, seed: int) -> Graph:
     Each cell flips independently with probability ``2 / (e^eps + 1)``, the
     calibration that makes the per-edge output epsilon-indistinguishable.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not _finite_positive(epsilon):
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     cells = upper_cells(g)
     flips = stream(seed, "edge-rand").random(len(cells)) < 2.0 / (np.exp(epsilon) + 1.0)
     return replace(g, edges=cell_pairs(g.num_nodes, np.flatnonzero(cells ^ flips)))
@@ -86,8 +86,8 @@ def lap_graph(g: Graph, epsilon: float, budget_split: float, seed: int) -> Graph
     the rest noises every upper-triangular cell, and exactly the estimated
     number of largest cells become edges.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not _finite_positive(epsilon):
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     if not (0.0 < budget_split < 1.0):
         raise ValueError("budget_split must lie in (0, 1)")
     eps_count = budget_split * epsilon

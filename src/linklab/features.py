@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gnn import Neighborhoods, TrainedGnn, center_posteriors
-from .graph import Edge, Graph, normalize_edge, row_entries
+from .gnn import MessageStructure, TrainedGnn, gnn_forward, posteriors
+from .graph import Edge, Graph, khop_union, normalize_edge, row_entries
+from .nn import Tensor
 
 PAIRWISE_OP_NAMES = ("hadamard", "average", "weighted_l1", "weighted_l2")
 GRAPH_FEATURE_NAMES = ("common_neighbors", "jaccard", "preferential_attachment")
@@ -81,10 +82,10 @@ class PosteriorTable:
 
     Each call gathers the keys it lacks, sorts them, and computes them in
     passes of ``PASS_QUERIES``: the query subgraphs of a pass side by side
-    as one block-diagonal graph, through one ``gnn.center_posteriors``
-    forward. A row's last bit may depend on its pass, so a pass depends
-    only on the call's sorted missing keys: the same calls give the same
-    rows bit for bit.
+    as one block-diagonal graph, through one ``gnn.gnn_forward``, the
+    forward training runs. A row's last bit may depend on its pass, so a
+    pass depends only on the call's sorted missing keys: the same calls
+    give the same rows bit for bit.
     """
 
     def __init__(self, model: TrainedGnn, graph: Graph, temperature: float = 1.0):
@@ -165,60 +166,17 @@ class PosteriorTable:
             at = np.searchsorted(self._keys, codes)
         return self._posteriors[at]
 
-    def _neighbor_entries(self, owners: np.ndarray, nodes: np.ndarray, a: np.ndarray,
-                          b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The neighbors of each ``nodes[i]`` in the subgraph of query
-        ``owners[i]``, self-loops and the query's removed edge left out: the
-        index ``i`` of each entry, and the neighbor."""
-        entry, nbrs = row_entries(self.graph, nodes)
-        x, q = nodes[entry], owners[entry]
-        keep = (nbrs != x) & ~(((x == a[q]) & (nbrs == b[q])) | ((x == b[q]) & (nbrs == a[q])))
-        return entry[keep], nbrs[keep]
-
     def _pass(self, hop: int, centers: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Posteriors of the queries (``centers[i]``, ``hop``, edge
-        (``a[i]``, ``b[i]``)) in one forward over their disjoint union.
-
-        A union node is a (query, node) pair, held as the code
-        ``query * n + node`` and sorted, so each query's nodes are one
-        ascending block. Layer 1 runs on the centers and their neighbors,
-        the ball of depth ``min(hop, 1)``; layer 2 on the centers.
-        """
-        n, q = self.graph.num_nodes, len(centers)
-        union = inner = np.arange(q) * n + centers
-        center_rows = center_nbrs = np.zeros(0, dtype=np.int64)
-        frontier = union
-        for level in range(hop):
-            owners, nodes = np.divmod(frontier, n)
-            entry, nbrs = self._neighbor_entries(owners, nodes, a, b)
-            reached = owners[entry] * n + nbrs
-            frontier = np.setdiff1d(reached, union)
-            union = np.union1d(union, frontier)
-            if level == 0:
-                center_rows, center_nbrs, inner = entry, reached, union
-        # layer 1: each inner node over its neighbors inside its own ball
-        owners, nodes = np.divmod(inner, n)
-        entry, nbrs = self._neighbor_entries(owners, nodes, a, b)
-        reached = owners[entry] * n + nbrs
-        at = np.searchsorted(union, reached).clip(max=len(union) - 1)
-        inside = union[at] == reached
-        first = _neighborhoods(entry[inside], at[inside], np.searchsorted(union, inner), len(union))
-        second = _neighborhoods(center_rows, np.searchsorted(inner, center_nbrs),
-                                np.searchsorted(inner, np.arange(q) * n + centers), len(inner))
+        (``a[i]``, ``b[i]``)): one ``gnn_forward`` over the disjoint union
+        of their subgraphs (``graph.khop_union``), read at the centers."""
+        n = self.graph.num_nodes
+        union, edges = khop_union(self.graph, centers, hop, a, b)
         self._union_nodes.append(len(union))
-        return center_posteriors(self.model, self.graph.features[union % n], first, second,
-                                 self.temperature)
-
-
-def _neighborhoods(rows: np.ndarray, cols: np.ndarray, own: np.ndarray,
-                   num_cols: int) -> Neighborhoods:
-    """CSR neighborhoods over ``num_cols`` input rows: output row ``i``
-    holds ``cols[rows == i]`` and its own row ``own[i]``, ascending."""
-    keys = np.sort(np.concatenate([rows * num_cols + cols, np.arange(len(own)) * num_cols + own]))
-    row, col = np.divmod(keys, num_cols)
-    indptr = np.zeros(len(own) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(row, minlength=len(own)), out=indptr[1:])
-    return Neighborhoods(own, indptr, col)
+        logits = gnn_forward(self.model, Tensor(self.graph.features[union % n]),
+                             MessageStructure(len(union), edges))
+        rows = np.searchsorted(union, np.arange(len(centers)) * n + centers)
+        return posteriors(logits.data[rows], self.temperature)
 
 
 def node_attr_block(features_u: np.ndarray, features_v: np.ndarray) -> np.ndarray:

@@ -1,23 +1,22 @@
-"""Inductive GNN layer kernels, two-layer models, training, and k-hop queries.
+"""Inductive GNN layer kernels, two-layer models, training, and posteriors.
 
-Training and ``khop_query`` run the taped kernels, which read the
+``layer_forward`` is the one forward of every layer kind. It reads the
 neighborhood off a ``MessageStructure``, the one place that adds a
-self-loop to every node, so a 0-hop query (one node and no edges) flows
-through the same code path as whole-graph training. ``center_posteriors``
-answers a batch of queries at once on plain arrays, with no tape, over
-neighborhoods whose self-loops its caller has placed.
+self-loop to every node, so whole-graph training, accuracy and a posterior
+table's batched queries (``features.PosteriorTable``, over the disjoint
+union of the query subgraphs) all run the same arithmetic. ``posteriors``
+turns class scores into checked posteriors at an output temperature.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from . import checkpoint
 from . import nn
-from .graph import Graph, Subgraph
+from .graph import Graph
 from .nn import Parameter, Tensor
 from .rng import stream
 
@@ -40,18 +39,16 @@ class MessageStructure:
     """Neighborhood aggregation over one fixed node set.
 
     Built from an ``(E, 2)`` array-like of node pairs, in either
-    orientation, with a self-loop forced onto every node. ``aggregate``
-    averages or sums over each neighborhood. The path is chosen once, from
-    the entry count ``n + 2 * (non-loop pairs)``, exact for the distinct
-    pairs a ``Graph`` or ``Subgraph`` holds:
+    orientation, with a self-loop forced onto every node. Every structure
+    keeps CSR rows ``indptr`` and ``indices`` (ascending within a row) with
+    the degrees ``deg``; GAT attends over them (``attend``). ``aggregate``
+    averages or sums over each neighborhood, on a path chosen once from the
+    entry count ``n + 2 * (non-loop pairs)``, exact for distinct pairs such
+    as a ``Graph`` holds:
 
-    - sparse: CSR rows ``indptr`` and ``indices`` with the degrees ``deg``,
-      and no n×n array;
+    - sparse: a gather and row sum over the CSR rows, and no n×n array;
     - dense: ``mean_mat``, which row-normalizes over the neighborhood, and
-      ``sum_mat``, which sums it.
-
-    ``mask``, the n×n admissible attention cells, is built when a GAT layer
-    first asks for it.
+      ``sum_mat``, which sums it; on the sparse path both are ``None``.
     """
 
     def __init__(self, num_nodes: int, edges):
@@ -62,47 +59,35 @@ class MessageStructure:
         n = num_nodes
         u, v = pairs.T
         self.num_nodes = n
-        self.indptr = self.indices = self.deg = None
         self.mean_mat = self.sum_mat = None
-        self._mask: np.ndarray | None = None
         self._fixed: dict[str, tuple[np.ndarray, Tensor]] = {}
         # entries >= n, so a structure of at most SPARSE_RATIO nodes is dense
         # without counting
         if n > SPARSE_RATIO and SPARSE_RATIO * (n + 2 * np.count_nonzero(u != v)) < n * n:
             loops = np.arange(n, dtype=np.int64) * (n + 1)
-            src, dst = np.divmod(np.unique(np.concatenate([u * n + v, v * n + u, loops])), n)
+            cells = np.unique(np.concatenate([u * n + v, v * n + u, loops]))
+            src, self.indices = np.divmod(cells, n)
             counts = np.bincount(src, minlength=n)
-            self.indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(counts, out=self.indptr[1:])
-            self.indices = dst
-            self.deg = counts.astype(np.float64)
-            return
-        adj = np.zeros((n, n), dtype=bool)
-        adj[u, v] = True
-        adj[v, u] = True
-        np.fill_diagonal(adj, True)
-        deg = adj.sum(axis=1, keepdims=True).astype(np.float64)
-        dense = adj.astype(np.float64)
-        self.mean_mat = Tensor(dense / deg)
-        self.sum_mat = Tensor(dense)
-
-    @property
-    def mask(self) -> np.ndarray:
-        """Boolean n×n marks of every neighborhood entry, built on first use."""
-        if self._mask is None:
-            if self.indptr is None:
-                self._mask = self.sum_mat.data != 0.0
-            else:
-                self._mask = np.zeros((self.num_nodes, self.num_nodes), dtype=bool)
-                rows = np.repeat(np.arange(self.num_nodes), np.diff(self.indptr))
-                self._mask[rows, self.indices] = True
-        return self._mask
+        else:
+            adj = np.zeros((n, n), dtype=bool)
+            adj[u, v] = True
+            adj[v, u] = True
+            np.fill_diagonal(adj, True)
+            self.indices = np.flatnonzero(adj)
+            self.indices %= n
+            counts = adj.sum(axis=1)
+            dense = adj.astype(np.float64)
+            self.mean_mat = Tensor(dense / counts[:, None])
+            self.sum_mat = Tensor(dense)
+        self.indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts, out=self.indptr[1:])
+        self.deg = counts.astype(np.float64)
 
     def aggregate(self, op: str, z: Tensor) -> Tensor:
         """The neighborhood mean (``op="mean"``) or sum (``op="sum"``) of
         every row of ``z``, as one taped op: ``nn.csr_row_sum`` on a sparse
         structure, ``mean_mat @ z`` or ``sum_mat @ z`` on a dense one."""
-        if self.indptr is None:
+        if self.mean_mat is not None:
             return nn.matmul(self.mean_mat if op == "mean" else self.sum_mat, z)
         return nn.csr_row_sum(z, self.indptr, self.indices, self.deg if op == "mean" else None)
 
@@ -119,6 +104,11 @@ class MessageStructure:
         if hit is None or hit[0] is not h.data:
             hit = self._fixed[op] = (h.data, self.aggregate(op, h))
         return hit[1]
+
+    def attend(self, z: Tensor, a_dst: Tensor, a_src: Tensor) -> Tensor:
+        """One GAT head over every neighborhood (``nn.csr_attention``), on
+        either path."""
+        return nn.csr_attention(z, a_dst, a_src, self.indptr, self.indices, LEAKY_SLOPE)
 
 
 @dataclass
@@ -198,14 +188,9 @@ def layer_forward(layer: GnnLayer, h: Tensor, structure,
             neighbors = nn.matmul(h, nn.row_slice(w, d, 2 * d))
             out = nn.add(own, structure.aggregate("mean", neighbors))
     elif layer.kind == "gat":
-        head_outs = []
-        for i in range(layer.heads):
-            z = nn.matmul(h, layer.params[f"w{i}"])
-            scores = nn.outer_sum(nn.matmul(z, layer.params[f"a_dst{i}"]),
-                                  nn.matmul(z, layer.params[f"a_src{i}"]))
-            scores = nn.leaky_relu(scores, LEAKY_SLOPE)
-            attn = nn.masked_row_softmax(scores, structure.mask)
-            head_outs.append(nn.matmul(attn, z))
+        head_outs = [structure.attend(nn.matmul(h, layer.params[f"w{i}"]),
+                                      layer.params[f"a_dst{i}"], layer.params[f"a_src{i}"])
+                     for i in range(layer.heads)]
         out = head_outs[0] if len(head_outs) == 1 else nn.concat_cols(head_outs)
     elif layer.kind == "gin":
         w1, eps = layer.params["w1"], layer.params["eps"]
@@ -284,99 +269,10 @@ def train_gnn(train_graph: Graph, arch: str, seed: int, *, num_classes: int | No
     return model
 
 
-def khop_query(model: TrainedGnn, sub: Subgraph, temperature: float = 1.0) -> np.ndarray:
-    """Posterior of the subgraph's center node under the trained model.
-
-    The single-query API: one subgraph, one taped forward. A run's
-    ``features.PosteriorTable`` answers the same queries in batches through
-    ``center_posteriors``, and tests hold it to this function."""
-    if sub.feature_view.shape[1] != model.in_dim:
-        raise ValueError(
-            f"subgraph feature dim {sub.feature_view.shape[1]} != model in_dim {model.in_dim}"
-        )
-    structure = MessageStructure(sub.num_nodes, sub.edges)
-    logits = gnn_forward(model, Tensor(sub.feature_view), structure)
-    post = nn.softmax_with_temperature(logits, temperature).data[sub.center_index]
-    if abs(post.sum() - 1.0) > 1e-9 or post.min() < 0.0:
-        raise FloatingPointError("posterior failed normalization check")
-    return np.array(post)
-
-
-class Neighborhoods(NamedTuple):
-    """Where one layer of a plain-array forward reads its input rows.
-
-    Output row ``i`` is input row ``own[i]``; its neighborhood is the input
-    rows ``indices[indptr[i]:indptr[i + 1]]`` in ascending order, ``own[i]``
-    among them (the forced self-loop), so no row is empty.
-    """
-
-    own: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
-
-    def sum(self, z: np.ndarray) -> np.ndarray:
-        return np.add.reduceat(z[self.indices], self.indptr[:-1], axis=0)
-
-    def mean(self, z: np.ndarray) -> np.ndarray:
-        return self.sum(z) / np.diff(self.indptr)[:, None]
-
-
-def _plain_layer(layer: GnnLayer, h: np.ndarray, nb: Neighborhoods, fixed: bool) -> np.ndarray:
-    """``layer_forward`` at inference on plain arrays, for the output rows of
-    ``nb`` only. ``fixed`` picks the same order as the taped layer: a fixed
-    input is aggregated, then projected; a hidden one is projected first."""
-    p = {name: param.data for name, param in layer.params.items()}
-    if layer.kind == "gcn":
-        out = nb.mean(h) @ p["w"] if fixed else nb.mean(h @ p["w"])
-    elif layer.kind == "sage":
-        if fixed:
-            out = np.concatenate([h[nb.own], nb.mean(h)], axis=1) @ p["w"]
-        else:
-            d = layer.in_dim
-            out = h[nb.own] @ p["w"][:d] + nb.mean(h @ p["w"][d:])
-    elif layer.kind == "gat":
-        starts = nb.indptr[:-1]
-        rows = np.repeat(np.arange(len(nb.own)), np.diff(nb.indptr))
-        heads = []
-        for i in range(layer.heads):
-            z = h @ p[f"w{i}"]
-            # one score per neighborhood entry and a softmax over each row
-            scores = (z[nb.own] @ p[f"a_dst{i}"])[rows, 0] + (z @ p[f"a_src{i}"])[nb.indices, 0]
-            scores = np.where(scores > 0.0, scores, LEAKY_SLOPE * scores)
-            ex = np.exp(scores - np.maximum.reduceat(scores, starts)[rows])
-            attn = ex / np.add.reduceat(ex, starts)[rows]
-            heads.append(np.add.reduceat(attn[:, None] * z[nb.indices], starts, axis=0))
-        out = heads[0] if len(heads) == 1 else np.concatenate(heads, axis=1)
-    elif layer.kind == "gin":
-        eps = float(p["eps"].reshape(()))
-        if fixed:
-            projected = (nb.sum(h) + h[nb.own] * eps) @ p["w1"]
-        else:
-            z = h @ p["w1"]
-            projected = nb.sum(z) + z[nb.own] * eps
-        out = np.maximum(projected + p["b1"], 0.0) @ p["w2"] + p["b2"]
-    else:
-        raise ValueError(f"unknown layer kind {layer.kind!r}")
-    return np.maximum(out, 0.0)
-
-
-def center_posteriors(model: TrainedGnn, features: np.ndarray, first: Neighborhoods,
-                      second: Neighborhoods, temperature: float = 1.0) -> np.ndarray:
-    """Posteriors at ``temperature`` of a batch of query centers, one row
-    each, from a tape-free two-layer forward.
-
-    Layer 1 reads ``features`` through ``first``; layer 2 reads layer 1's
-    rows through ``second``, whose output rows are the centers. Several
-    disjoint query subgraphs side by side form one such batch.
-    """
-    hidden = _plain_layer(model.layer1, features, first, fixed=True)
-    logits = _plain_layer(model.layer2, hidden, second, fixed=False)
-    if not np.isfinite(logits).all():
-        raise FloatingPointError("non-finite values produced in forward pass")
-    z = logits / temperature
-    z -= z.max(axis=1, keepdims=True)
-    ex = np.exp(z)
-    post = ex / ex.sum(axis=1, keepdims=True)
+def posteriors(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
+    """Row-wise ``softmax(logits / temperature)`` of finite class scores,
+    each row checked to be a probability distribution."""
+    post = nn.softmax_with_temperature(Tensor(logits), temperature).data
     if (np.abs(post.sum(axis=1) - 1.0) > 1e-9).any() or (post < 0.0).any():
         raise FloatingPointError("posterior failed normalization check")
     return post

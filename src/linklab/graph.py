@@ -153,36 +153,50 @@ class Subgraph:
         return self.nodes.index(self.center)
 
 
+def khop_union(g: Graph, centers, hop: int, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """The depth-``hop`` BFS balls around ``centers[i]``, each in the graph
+    without the edge (``a[i]``, ``b[i]``), side by side as one graph.
+
+    A node of the union is a (query, node) pair, held as the code
+    ``i * num_nodes + node``; the codes come back sorted, so each query's
+    nodes are one ascending block. The edges are the ``(E, 2)`` sorted
+    pairs ``(p, q)``, ``p < q``, of union positions of every edge induced
+    within a ball, explicit self-loops and the query's removed edge left
+    out. An endpoint outside the graph, such as ``num_nodes``, removes no
+    edge.
+    """
+    if hop not in (0, 1, 2):
+        raise ValueError(f"hop count must be 0, 1, or 2, got {hop}")
+    n = g.num_nodes
+    centers, a, b = (np.asarray(x, dtype=np.int64).reshape(-1) for x in (centers, a, b))
+
+    def ball_entries(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each neighbor entry of the union nodes ``codes`` in their own
+        query's graph: the position in ``codes``, and the neighbor's code."""
+        query, nodes = np.divmod(codes, n)
+        entry, nbrs = row_entries(g, nodes)
+        x, q = nodes[entry], query[entry]
+        keep = (nbrs != x) & ~(((x == a[q]) & (nbrs == b[q])) | ((x == b[q]) & (nbrs == a[q])))
+        return entry[keep], q[keep] * n + nbrs[keep]
+
+    union = frontier = np.arange(len(centers)) * n + centers
+    for _ in range(hop):
+        frontier = np.setdiff1d(ball_entries(frontier)[1], union)
+        union = np.union1d(union, frontier)
+    entry, reached = ball_entries(union)
+    at = np.searchsorted(union, reached).clip(max=len(union) - 1)
+    inside = (union[at] == reached) & (entry < at)
+    return union, np.stack([entry[inside], at[inside]], axis=1)
+
+
 def khop_subgraph(g: Graph, v: int, k: int, exclude: Edge | None = None) -> Subgraph:
     """BFS-induced subgraph of depth ``k`` around ``v`` with ``exclude`` removed;
-    ``k = 0`` yields the single node."""
+    ``k = 0`` yields the single node. The one-query view of ``khop_union``."""
     g._check_node(v)
-    if k not in (0, 1, 2):
-        raise ValueError(f"hop count must be 0, 1, or 2, got {k}")
-    skip = {}
-    if exclude is not None:
-        a, b = exclude
-        skip = {a: b, b: a}
-    rows: dict[int, list[int]] = {}
-
-    def row(u: int) -> list[int]:
-        """The CSR row of ``u`` as a list, without the excluded edge."""
-        if u not in rows:
-            rows[u] = g.indices[g.indptr[u]:g.indptr[u + 1]].tolist()
-            if u in skip and skip[u] in rows[u]:
-                rows[u].remove(skip[u])
-        return rows[u]
-
-    reached = frontier = {v}
-    for _ in range(k):
-        frontier = {w for u in frontier for w in row(u)} - reached
-        reached = reached | frontier
-    nodes = sorted(reached)
-    local = {u: i for i, u in enumerate(nodes)}
-    edges = tuple((i, local[w]) for i, u in enumerate(nodes) for w in row(u)
-                  if w > u and w in local) if k else ()
-    return Subgraph(center=v, hop=k, nodes=tuple(nodes), edges=edges,
-                    feature_view=g.features[nodes])
+    a, b = (g.num_nodes, g.num_nodes) if exclude is None else exclude
+    nodes, edges = khop_union(g, [v], k, [a], [b])
+    return Subgraph(center=v, hop=k, nodes=tuple(nodes.tolist()),
+                    edges=tuple(map(tuple, edges.tolist())), feature_view=g.features[nodes])
 
 
 def induced_subgraph(g: Graph, node_ids) -> tuple[Graph, tuple[int, ...]]:

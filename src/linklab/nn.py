@@ -228,15 +228,6 @@ def dense_relu_dropout(h: Tensor, w: Tensor, b: Tensor, rate: float = 0.0,
     return _result(pre, (h, w, b), backward)
 
 
-def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
-    out_data = np.where(x.data > 0.0, x.data, slope * x.data)
-
-    def backward(g: np.ndarray) -> None:
-        x._accumulate(g * np.where(x.data > 0.0, 1.0, slope))
-
-    return _result(out_data, (x,), backward)
-
-
 def concat_cols(tensors: list[Tensor]) -> Tensor:
     if not tensors:
         raise ValueError("concat_cols needs at least one tensor")
@@ -271,49 +262,57 @@ def row_slice(x: Tensor, start: int, stop: int) -> Tensor:
     return _result(out_data, (x,), backward)
 
 
-def outer_sum(col: Tensor, row: Tensor) -> Tensor:
-    """``out[i, j] = col[i, 0] + row[j, 0]`` for two column vectors."""
-    if col.data.ndim != 2 or col.data.shape[1] != 1:
-        raise ValueError("outer_sum expects (n, 1) column tensors")
-    if row.data.ndim != 2 or row.data.shape[1] != 1:
-        raise ValueError("outer_sum expects (n, 1) column tensors")
-    out_data = col.data + row.data.T
+def csr_attention(z: Tensor, a_dst: Tensor, a_src: Tensor, indptr: np.ndarray,
+                  indices: np.ndarray, slope: float) -> Tensor:
+    """One graph-attention head over CSR rows, as one op.
 
-    def backward(g: np.ndarray) -> None:
-        if col.requires_grad:
-            col._accumulate(g.sum(axis=1, keepdims=True))
-        if row.requires_grad:
-            row._accumulate(g.sum(axis=0)[:, None])
-
-    return _result(out_data, (col, row), backward)
-
-
-def masked_row_softmax(scores: Tensor, mask: np.ndarray) -> Tensor:
-    """Row-wise softmax restricted to ``mask``; masked-out cells stay zero.
-
-    Every row must have at least one admissible cell.
+    Entry ``e = (i, j)`` of row ``i``, ``j = indices[e]``, scores
+    ``leaky_relu(z[i] @ a_dst + z[j] @ a_src)`` at ``slope``; each row's
+    scores are softmaxed over its entries (``np.maximum.reduceat`` and
+    ``np.add.reduceat``), and output row ``i`` is the weighted sum of those
+    ``z[j]``. The rows must be non-empty, sorted within each row and
+    symmetric, as a ``gnn.MessageStructure``'s are: the backward reads each
+    entry's transpose to send gradients to the columns with the same row
+    sums.
     """
-    mask = np.asarray(mask, dtype=bool)
-    if scores.data.shape != mask.shape:
-        raise ValueError("mask shape must match scores")
-    if not mask.any(axis=1).all():
-        raise ValueError("every row needs at least one unmasked cell")
-    neg = np.where(mask, scores.data, -np.inf)
-    m = neg.max(axis=1, keepdims=True)
-    ex = np.exp(np.where(mask, scores.data - m, -np.inf))
-    out_data = ex / ex.sum(axis=1, keepdims=True)
+    n = len(indptr) - 1
+    if z.data.ndim != 2 or z.data.shape[0] != n:
+        raise ValueError(f"csr_attention expects {n} rows, got {z.data.shape}")
+    for a in (a_dst, a_src):
+        if a.data.shape != (z.data.shape[1], 1):
+            raise ValueError(f"attention vector shape {a.data.shape} != ({z.data.shape[1]}, 1)")
+    starts = indptr[:-1]
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    pre = (z.data @ a_dst.data)[rows, 0] + (z.data @ a_src.data)[indices, 0]
+    slopes = np.where(pre > 0.0, 1.0, slope)
+    scores = pre * slopes
+    ex = np.exp(scores - np.maximum.reduceat(scores, starts)[rows])
+    attn = ex / np.add.reduceat(ex, starts)[rows]
+    out_data = np.add.reduceat(attn[:, None] * z.data[indices], starts, axis=0)
 
     def backward(g: np.ndarray) -> None:
-        inner = (g * out_data).sum(axis=1, keepdims=True)
-        scores._accumulate(out_data * (g - inner))
+        # the position of each entry's transpose: column sums become row sums
+        transpose = np.searchsorted(rows * n + indices, indices * n + rows)
+        d_attn = np.vecdot(g[rows], z.data[indices])
+        d_pre = attn * (d_attn - np.add.reduceat(attn * d_attn, starts)[rows]) * slopes
+        d_dst = np.add.reduceat(d_pre, starts)[:, None]
+        d_src = np.add.reduceat(d_pre[transpose], starts)[:, None]
+        if z.requires_grad:
+            dz = np.add.reduceat(attn[transpose][:, None] * g[indices], starts, axis=0)
+            dz += d_dst @ a_dst.data.T + d_src @ a_src.data.T
+            z._accumulate(dz)
+        if a_dst.requires_grad:
+            a_dst._accumulate(z.data.T @ d_dst)
+        if a_src.requires_grad:
+            a_src._accumulate(z.data.T @ d_src)
 
-    return _result(out_data, (scores,), backward)
+    return _result(out_data, (z, a_dst, a_src), backward)
 
 
 def softmax_with_temperature(logits: Tensor, temperature: float = 1.0) -> Tensor:
     """Row-wise ``softmax(z / T)`` with max-subtraction stabilization."""
-    if temperature <= 0.0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    if not (math.isfinite(temperature) and temperature > 0.0):
+        raise ValueError(f"temperature must be finite and positive, got {temperature}")
     if logits.data.ndim != 2:
         raise ValueError("softmax expects a 2-D [batch x classes] tensor")
     z = logits.data / temperature

