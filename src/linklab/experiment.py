@@ -194,10 +194,10 @@ def load_or_generate(cfg: ExperimentConfig) -> Graph:
 def train_target(cfg: ExperimentConfig, target_train: Graph, num_classes: int,
                  run_seed: int) -> TrainedGnn:
     """Perturb the target-train graph as the config's defense asks, then
-    train the target GNN on it."""
+    train the target GNN on it, on one OpenBLAS thread wherever it runs."""
     with _stage("defense"):
         graph = perturb_graph(target_train, cfg.defense, derive_seed(run_seed, "defense"))
-    with _stage("target-train"):
+    with _stage("target-train"), _one_blas_thread():
         return train_gnn(
             graph, cfg.target_arch, derive_seed(run_seed, "target-train"),
             num_classes=num_classes, hidden=cfg.hidden, epochs=cfg.epochs,
@@ -231,11 +231,10 @@ def _one_blas_thread():
     """Run the block on one OpenBLAS thread, then restore the count.
 
     Yields whether BLAS was pinned. The last bits of a weight-gradient
-    product over all training pairs (694 rows on the default graph) depend
-    on OpenBLAS's thread count, so every attack classifier trains on one
-    thread, in this process or in a worker forked from it, and which of the
-    two trains it cannot change a bit. The products are small enough that
-    more threads buy nothing.
+    product over all training rows (694 attack pairs on the default graph, a
+    GNN's 1,083 nodes at Cora size) depend on OpenBLAS's thread count, so
+    every model trains on one thread, in this process or in a worker forked
+    from it, and which of the two trains it cannot change a bit.
     """
     blas = openblas_threads()
     if blas is None:
@@ -256,29 +255,32 @@ def _one_blas_thread():
 _MAX_WORKERS = 2
 
 
-def _attack_pool(jobs: int):
-    """A pool of workers forked from this process for ``jobs`` attack
-    trainings; None when they should train in this process.
-
-    One worker per CPU this process may run on, at most ``_MAX_WORKERS``
-    and no more than there are jobs; one worker would only add a process.
-    Call it with BLAS pinned (``_one_blas_thread``): a worker inherits the
-    count, and unpinned workers would contend for the same cores.
+@contextmanager
+def _attack_pool():
+    """Yield ``submit(fn, *args)`` for one run's trainings, all on one
+    OpenBLAS thread (``_one_blas_thread``), so where a model trains cannot
+    change a bit. It is a forked pool's: one worker per CPU, at most
+    ``_MAX_WORKERS``, each inheriting the pin so none contends for the cores.
+    With one CPU or no OpenBLAS to pin, ``_Finished`` trains here.
     """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(jobs, cpus, _MAX_WORKERS)
-    if workers < 2:
-        return None
-    # Imported here, so runs that train in-process never load them.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    with _one_blas_thread() as pinned:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        workers = min(cpus, _MAX_WORKERS) if pinned else 1
+        if workers < 2:
+            yield _Finished
+            return
+        # Imported here, so runs that train in-process never load them.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    # Forked, not spawned: a worker starts with the package loaded and with
-    # this module's globals, a patched train_attack and the BLAS pin
-    # included. The pool forks every worker before it starts its own
-    # thread, and OpenBLAS stops its threads across a fork (its atfork
-    # handler).
-    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        # Forked, not spawned: workers start with this module's globals, patches
+        # and the BLAS pin included. The pool forks them all before it starts
+        # its own thread, and OpenBLAS stops its threads across a fork.
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        try:
+            yield pool.submit
+        finally:
+            pool.shutdown(cancel_futures=True)
 
 
 def _train_job(attack_id, inputs, labels, seed, epochs, learning_rate, dropout_rate):
@@ -294,23 +296,21 @@ class _Finished:
     def __init__(self, fn, *args):
         self._model = fn(*args)
 
-    def result(self) -> MultiInputMlp:
+    def result(self):
         return self._model
 
 
 def _shadow_side(cfg: ExperimentConfig, shadow_train: Graph, shadow_test: Graph,
-                 num_classes: int, run_seed: int, transfer: bool):
+                 num_classes: int, run_seed: int, transfer: bool, submit):
     """Train the shadow GNN and one attack classifier per active attack.
 
     Returns (shadow GNN, its test accuracy, attack-training pairs,
     classifiers). The target half is not an argument, so attack training
     sees shadow-side data only. Nothing here reads a DP defense's budget.
 
-    This process assembles each attack's inputs in turn; the trainings,
-    each independent of the others, run in ``_attack_pool``'s workers
-    while later inputs are assembled, or here when there is no pool. Both
-    train on one OpenBLAS thread (``_one_blas_thread``), so the path
-    cannot change a classifier.
+    This process trains the shadow GNN and assembles each attack's inputs
+    in turn; each training goes to ``submit`` (``_attack_pool``) and runs
+    while later inputs are assembled.
     """
     with _stage("shadow-train"):
         shadow = train_gnn(
@@ -321,42 +321,33 @@ def _shadow_side(cfg: ExperimentConfig, shadow_train: Graph, shadow_test: Graph,
     with _stage("pair-sampling"):
         attack_train = build_pair_dataset(shadow_train, derive_seed(run_seed, "attack-train-pairs"))
     table = PosteriorTable(shadow, shadow_train, query_temperature(cfg.defense))
-    attacks = cfg.active_attacks()
-    with _one_blas_thread() as pinned:
-        pool = _attack_pool(len(attacks)) if pinned else None
-        submit = _Finished if pool is None else pool.submit
-        try:
-            trainings = {}
-            for attack_id in attacks:
-                with _stage(f"attack-{attack_id}"):
-                    inputs = attack_dataset_inputs(
-                        spec_for(attack_id), table, shadow_train, attack_train.pairs,
-                        defense=cfg.defense, transfer=transfer, pairwise=cfg.pairwise,
-                    )
-                    trainings[attack_id] = submit(
-                        _train_job, attack_id, inputs, attack_train.labels,
-                        derive_seed(run_seed, "attack-train", attack_id),
-                        cfg.attack_epochs, cfg.learning_rate, cfg.dropout,
-                    )
-            models: dict[str, MultiInputMlp] = {}
-            for attack_id, training in trainings.items():
-                with _stage(f"attack-{attack_id}"):
-                    models[attack_id] = training.result()
-        finally:
-            if pool is not None:
-                pool.shutdown(cancel_futures=True)
+    trainings = {}
+    for attack_id in cfg.active_attacks():
+        with _stage(f"attack-{attack_id}"):
+            inputs = attack_dataset_inputs(
+                spec_for(attack_id), table, shadow_train, attack_train.pairs,
+                defense=cfg.defense, transfer=transfer, pairwise=cfg.pairwise,
+            )
+            trainings[attack_id] = submit(
+                _train_job, attack_id, inputs, attack_train.labels,
+                derive_seed(run_seed, "attack-train", attack_id),
+                cfg.attack_epochs, cfg.learning_rate, cfg.dropout,
+            )
+    models: dict[str, MultiInputMlp] = {}
+    for attack_id, training in trainings.items():
+        with _stage(f"attack-{attack_id}"):
+            models[attack_id] = training.result()
     return shadow, evaluate_accuracy(shadow, shadow_test), attack_train, models
 
 
-def _target_side(cfg: ExperimentConfig, bundle: SplitBundle, num_classes: int, run_seed: int,
+def _target_side(cfg: ExperimentConfig, bundle: SplitBundle, target: TrainedGnn, run_seed: int,
                  transfer: bool, models: dict[str, MultiInputMlp], keep: bool):
-    """Train the target under ``cfg.defense`` and score ``models`` on pairs
-    drawn from the unperturbed target half.
+    """Score ``models`` on pairs drawn from the unperturbed target half,
+    querying ``target``, trained under ``cfg.defense``.
 
     Returns (AUC per attack, target test accuracy, and the target-side
     ``RunArtifacts`` fields if ``keep``, else None).
     """
-    target = train_target(cfg, bundle.target_train, num_classes, run_seed)
     with _stage("pair-sampling"):
         attack_test = build_pair_dataset(bundle.target_train,
                                          derive_seed(run_seed, "attack-test-pairs"))
@@ -380,7 +371,8 @@ def _target_side(cfg: ExperimentConfig, bundle: SplitBundle, num_classes: int, r
     return aucs, target_acc, dict(
         target=target, attack_test=attack_test, test_inputs=inputs, scores=scores,
         target_posteriors=posteriors,
-        posterior_columns=posterior_columns(num_classes, cfg.defense, transfer, cfg.pairwise),
+        posterior_columns=posterior_columns(target.num_classes, cfg.defense, transfer,
+                                            cfg.pairwise),
     )
 
 
@@ -400,6 +392,10 @@ def _run_defenses(cfg: ExperimentConfig, defenses, shadow: ExperimentConfig | No
     Each run splits once and calls the shadow side once; the target side
     runs once per defense against the same attack classifiers. That is
     exact only for defenses whose queries match ``cfg.defense``'s.
+
+    Each run has one pool for its trainings (``_attack_pool``). The targets
+    go in first, so a worker trains one while this process trains the
+    shadow GNN.
     """
     if shadow is not None and cfg.defense.kind == "label_only":
         raise ValueError("label-only defense is incompatible with transfer features")
@@ -429,17 +425,20 @@ def _run_defenses(cfg: ExperimentConfig, defenses, shadow: ExperimentConfig | No
             shadow_bundle = bundle if shadow_graph is graph else make_splits(
                 shadow_graph, derive_seed(run_seed, "split-shadow"), shadow.shadow_fraction
             )
-        shadow_model, shadow_acc, attack_train, models = _shadow_side(
-            cfg, shadow_bundle.shadow_train, shadow_bundle.shadow_test,
-            shadow_graph.num_classes, run_seed, transfer,
-        )
-        for results, run_cfg in zip(per_defense, configs):
-            aucs, target_acc, kept = _target_side(run_cfg, bundle, graph.num_classes, run_seed,
-                                                  transfer, models, keep)
-            if kept is not None:
-                kept = RunArtifacts(bundle=bundle, shadow=shadow_model,
-                                    attack_train=attack_train, **kept)
-            results.append((aucs, target_acc, kept))
+        with _attack_pool() as submit:
+            targets = [submit(train_target, run_cfg, bundle.target_train, graph.num_classes,
+                              run_seed) for run_cfg in configs]
+            shadow_model, shadow_acc, attack_train, models = _shadow_side(
+                cfg, shadow_bundle.shadow_train, shadow_bundle.shadow_test,
+                shadow_graph.num_classes, run_seed, transfer, submit,
+            )
+            for results, run_cfg, target in zip(per_defense, configs, targets):
+                aucs, target_acc, kept = _target_side(run_cfg, bundle, target.result(), run_seed,
+                                                      transfer, models, keep)
+                if kept is not None:
+                    kept = RunArtifacts(bundle=bundle, shadow=shadow_model,
+                                        attack_train=attack_train, **kept)
+                results.append((aucs, target_acc, kept))
         shadow_accs.append(shadow_acc)
         durations.append(time.perf_counter() - started)
     reports = []

@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+from contextlib import contextmanager
 from dataclasses import replace
 
 import feature_oracles
@@ -159,18 +160,42 @@ class TestRunExperiment:
         cfg = small_cfg(attacks=("a0", "a1", "a4", "a9", "b1"))
         original_shadow_side = experiment._shadow_side
         original_splits = experiment.make_splits
+        original_pool = experiment._attack_pool
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # one shared pool
 
         def trained_models():
             # read in this process: the trainings may run in forked workers
-            models = []
+            models, bundles, jobs = [], [], []
+            splits = experiment.make_splits
 
             def recording(*args, **kwargs):
                 side = original_shadow_side(*args, **kwargs)
                 models.extend(side[3].values())
                 return side
 
+            def recorded_splits(*args, **kwargs):
+                bundles.append(splits(*args, **kwargs))
+                return bundles[-1]
+
+            @contextmanager
+            def recorded_pool():
+                with original_pool() as submit:
+                    def recorded_submit(fn, *args):
+                        jobs.append((fn, args))
+                        return submit(fn, *args)
+
+                    yield recorded_submit
+
             monkeypatch.setattr(experiment, "_shadow_side", recording)
+            monkeypatch.setattr(experiment, "make_splits", recorded_splits)
+            monkeypatch.setattr(experiment, "_attack_pool", recorded_pool)
             report = run_experiment(cfg)
+            (bundle,) = bundles
+            # the target half goes to one job only: the target training
+            assert [fn for fn, args in jobs if any(a is bundle.target_train for a in args)] == [
+                experiment.train_target]
+            assert [fn for fn, _ in jobs] == [experiment.train_target] + [
+                experiment._train_job] * len(cfg.attacks)
             return report, [[p.data.tobytes() for p in m.parameters()] for m in models]
 
         def poisoned_splits(graph, seed, shadow_fraction=1.0):
@@ -228,39 +253,62 @@ class TestAttackPool:
 
     @staticmethod
     def pools(monkeypatch):
+        """Whether each run's ``_attack_pool`` was a pool of workers."""
         made = []
         original = experiment._attack_pool
 
-        def recording(jobs):
-            made.append(original(jobs))
-            return made[-1]
+        @contextmanager
+        def recording():
+            with original() as submit:
+                made.append(submit is not experiment._Finished)
+                yield submit
 
         monkeypatch.setattr(experiment, "_attack_pool", recording)
         return made
 
     @staticmethod
-    def shadow_models(cfg, graph, bundle):
-        *_, pairs, models = experiment._shadow_side(
-            cfg, bundle.shadow_train, bundle.shadow_test, graph.num_classes, cfg.seed, False)
+    def parameter_bytes(model):
+        return [p.data.tobytes() for p in model.parameters()]
+
+    @classmethod
+    def shadow_models(cls, cfg, graph, bundle):
+        with experiment._attack_pool() as submit:
+            *_, pairs, models = experiment._shadow_side(
+                cfg, bundle.shadow_train, bundle.shadow_test, graph.num_classes, cfg.seed,
+                False, submit)
         assert list(models) == list(cfg.attacks)
-        return len(pairs.labels), {a: [p.data.tobytes() for p in m.parameters()]
-                                   for a, m in models.items()}
+        return len(pairs.labels), {a: cls.parameter_bytes(m) for a, m in models.items()}
 
     def test_pooled_models_match_in_process_models(self, monkeypatch):
-        cfg = small_cfg(attacks=ALL_ATTACK_IDS, epochs=10, attack_epochs=10)
-        graph = load_or_generate(cfg)
-        bundle = make_splits(graph, derive_seed(cfg.seed, "split"))
+        # At 1,083 training nodes OpenBLAS's thread count changes a GNN's
+        # last bits, so the pooled and in-process paths must both pin it.
+        cora = SyntheticSpec(nodes=2708, communities=7, p_in=0.0083, p_out=0.0003,
+                             feature_dim=32, noise=1.0)
+        cfg = small_cfg(synthetic=cora, attacks=ALL_ATTACK_IDS, epochs=5, attack_epochs=5)
         made = self.pools(monkeypatch)
-        self.cpus(monkeypatch, 2)
-        _, pooled = self.shadow_models(cfg, graph, bundle)
-        self.cpus(monkeypatch, 1)
-        _, in_process = self.shadow_models(cfg, graph, bundle)
+        original_shadow_side = experiment._shadow_side
+        runs = []
+
+        def recording(*args, **kwargs):
+            side = original_shadow_side(*args, **kwargs)
+            runs[-1].update({a: self.parameter_bytes(m) for a, m in side[3].items()})
+            return side
+
+        monkeypatch.setattr(experiment, "_shadow_side", recording)
+        for cpus in (2, 1):
+            self.cpus(monkeypatch, cpus)
+            runs.append({})
+            art = run_experiment(cfg, keep_artifacts=True).artifacts
+            assert art.bundle.target_train.num_nodes == 1083
+            runs[-1].update(target=self.parameter_bytes(art.target),
+                            shadow=self.parameter_bytes(art.shadow))
         pinned = experiment.openblas_threads() is not None
-        assert [pool is not None for pool in made] == ([True, False] if pinned else [])
-        assert pooled == in_process
+        assert made == ([True, False] if pinned else [False, False])
+        assert list(runs[0]) == list(cfg.attacks) + ["target", "shadow"]
+        assert runs[0] == runs[1]
         assert multiprocessing.active_children() == []
 
-    def test_joint_run_matches_single_attack_runs_at_default_size(self):
+    def test_joint_run_matches_single_attack_runs_at_default_size(self, monkeypatch):
         # The default graph gives enough training pairs that OpenBLAS
         # threads its weight-gradient products on a multi-core host, so the
         # pooled and the in-process path must both train on one thread.
@@ -270,23 +318,31 @@ class TestAttackPool:
         bundle = make_splits(graph, derive_seed(cfg.seed, "split"))
         pairs, joint = self.shadow_models(cfg, graph, bundle)
         assert pairs >= 694
+        self.cpus(monkeypatch, 1)
         for attack_id in cfg.attacks:
             _, alone = self.shadow_models(replace(cfg, attacks=(attack_id,)), graph, bundle)
             assert alone == {attack_id: joint[attack_id]}
 
-    def test_single_attack_or_cpu_trains_in_process(self, monkeypatch):
+    def test_one_cpu_trains_in_process_and_one_attack_gets_a_pool(self, monkeypatch):
+        made = self.pools(monkeypatch)
+        cfg = small_cfg(epochs=5, attack_epochs=5)
+        assert cfg.active_attacks() == ("a1",)
         self.cpus(monkeypatch, 1)
-        assert experiment._attack_pool(13) is None
+        run_experiment(cfg)
+        # one attack and one defense are two jobs: a target and an attack
         self.cpus(monkeypatch, 4)
-        assert experiment._attack_pool(1) is None
+        run_experiment(cfg)
+        pinned = experiment.openblas_threads() is not None
+        assert made == [False, pinned]
+        assert multiprocessing.active_children() == []
 
     def test_worker_count_is_capped(self, monkeypatch):
+        if experiment.openblas_threads() is None:
+            pytest.skip("no OpenBLAS loaded")
         self.cpus(monkeypatch, 64)
-        pool = experiment._attack_pool(13)
-        try:
-            assert pool._max_workers == experiment._MAX_WORKERS
-        finally:
-            pool.shutdown()
+        with experiment._attack_pool() as submit:
+            assert submit.__self__._max_workers == experiment._MAX_WORKERS
+        assert multiprocessing.active_children() == []
 
     def test_worker_error_names_its_stage(self, monkeypatch):
         original_train = experiment.train_attack
@@ -304,23 +360,49 @@ class TestAttackPool:
         run_experiment(small_cfg(attacks=("a1", "b1"), epochs=5, attack_epochs=5))
         assert multiprocessing.active_children() == []
 
+    def test_target_training_error_in_a_worker_names_its_stage(self, monkeypatch):
+        if experiment.openblas_threads() is None:
+            pytest.skip("no OpenBLAS loaded, so no pool")
+        cfg = small_cfg(epochs=5, attack_epochs=5)
+        target_seed = derive_seed(cfg.seed, "target-train")
+        main_pid = os.getpid()
+        original_train = experiment.train_gnn
+
+        def failing(graph, arch, seed, **kwargs):
+            if seed == target_seed:
+                where = "the main process" if os.getpid() == main_pid else "a worker"
+                raise FloatingPointError(f"diverged in {where}")
+            return original_train(graph, arch, seed, **kwargs)
+
+        monkeypatch.setattr(experiment, "train_gnn", failing)  # forked workers inherit it
+        self.cpus(monkeypatch, 2)
+        with pytest.raises(FloatingPointError,
+                           match=r"^\[stage target-train\] diverged in a worker$"):
+            run_experiment(cfg)
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.parametrize("cpus", [2, 1])
-    def test_every_training_runs_on_one_blas_thread(self, monkeypatch, cpus):
+    def test_every_training_runs_on_one_blas_thread(self, monkeypatch, cpus, tmp_path):
         if experiment.openblas_threads() is None:
             pytest.skip("no OpenBLAS loaded")
-        original_train = experiment.train_attack
+        trained = multiprocessing.Value("i", 0)  # counted in the workers too
+        for name in ("train_attack", "train_gnn"):
+            def checked(*args, _original=getattr(experiment, name), **kwargs):
+                if _blas_threads() != 1:
+                    raise AssertionError(f"trained on {_blas_threads()} BLAS threads")
+                with trained.get_lock():
+                    trained.value += 1
+                return _original(*args, **kwargs)
 
-        def checked(*args, **kwargs):
-            if _blas_threads() != 1:
-                raise AssertionError(f"trained on {_blas_threads()} BLAS threads")
-            return original_train(*args, **kwargs)
-
-        monkeypatch.setattr(experiment, "train_attack", checked)  # forked workers inherit it
+            monkeypatch.setattr(experiment, name, checked)  # forked workers inherit it
         self.cpus(monkeypatch, cpus)
         before = _blas_threads()
         made = self.pools(monkeypatch)
         run_experiment(small_cfg(attacks=("a1", "a4", "b1"), epochs=5, attack_epochs=5))
-        assert [pool is not None for pool in made] == [cpus > 1]
+        assert made == [cpus > 1]
+        # `linklab train` pins the same way, so its checkpoint is the run's
+        assert cli_main(["train", "--epochs", "2", "--out", str(tmp_path)]) == 0
+        assert trained.value == 3 + 2 + 1
         assert _blas_threads() == before
 
 
@@ -390,10 +472,13 @@ class TestDefenseSweep:
             run_defense_sweep(small_cfg(), [1.0])
 
     def test_trains_each_attack_once_per_run(self, monkeypatch):
-        calls = {"train_attack": 0, "train_gnn": 0}
-        for name in calls:
-            def counting(*args, _name=name, _original=getattr(experiment, name), **kwargs):
-                calls[_name] += 1
+        # shared counters: the trainings may run in forked workers
+        calls = {"train_attack": multiprocessing.Value("i", 0),
+                 "train_gnn": multiprocessing.Value("i", 0)}
+        for name, count in calls.items():
+            def counting(*args, _count=count, _original=getattr(experiment, name), **kwargs):
+                with _count.get_lock():
+                    _count.value += 1
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(experiment, name, counting)
@@ -401,7 +486,8 @@ class TestDefenseSweep:
                         defense=DefenseConfig(kind="edge_rand", epsilon=1.0))
         run_defense_sweep(cfg, [1.0, 2.0, 5.0])
         # per run: one shadow GNN and one attack model, then 1 + 3 target GNNs
-        assert calls == {"train_attack": 2, "train_gnn": 10}
+        assert {name: count.value for name, count in calls.items()} == {
+            "train_attack": 2, "train_gnn": 10}
 
     def test_each_attack_matches_its_single_attack_sweep(self):
         cfg = small_cfg(attacks=("a1", "a4", "b1"), epochs=10, attack_epochs=10,
