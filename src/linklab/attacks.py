@@ -3,7 +3,7 @@
 Each classifier is a (possibly multi-input) MLP over the feature blocks
 its threat model grants the adversary. Branch widths follow the published
 architectures; the final head is always a two-unit linear layer read
-through a softmax.
+through a softmax. The MLPs train and score in float32.
 """
 
 from __future__ import annotations
@@ -40,24 +40,20 @@ class AttackSpec:
     uses_graph_feats: bool
 
 
-def _spec(attack_id, hop, p, n, g):
-    return AttackSpec(attack_id, hop, p, n, g)
-
-
 ATTACK_SPECS: dict[str, AttackSpec] = {
-    "a0": _spec("a0", 0, True, False, False),
-    "a1": _spec("a1", 1, True, False, False),
-    "a2": _spec("a2", 2, True, False, False),
-    "a3": _spec("a3", 0, True, True, False),
-    "a4": _spec("a4", 1, True, True, False),
-    "a5": _spec("a5", 2, True, True, False),
-    "a6": _spec("a6", 1, True, False, True),
-    "a7": _spec("a7", 2, True, False, True),
-    "a8": _spec("a8", 1, True, True, True),
-    "a9": _spec("a9", 2, True, True, True),
-    "b0": _spec("b0", None, False, True, False),
-    "b1": _spec("b1", None, False, False, True),
-    "b2": _spec("b2", None, False, True, True),
+    "a0": AttackSpec("a0", 0, True, False, False),
+    "a1": AttackSpec("a1", 1, True, False, False),
+    "a2": AttackSpec("a2", 2, True, False, False),
+    "a3": AttackSpec("a3", 0, True, True, False),
+    "a4": AttackSpec("a4", 1, True, True, False),
+    "a5": AttackSpec("a5", 2, True, True, False),
+    "a6": AttackSpec("a6", 1, True, False, True),
+    "a7": AttackSpec("a7", 2, True, False, True),
+    "a8": AttackSpec("a8", 1, True, True, True),
+    "a9": AttackSpec("a9", 2, True, True, True),
+    "b0": AttackSpec("b0", None, False, True, False),
+    "b1": AttackSpec("b1", None, False, False, True),
+    "b2": AttackSpec("b2", None, False, True, True),
 }
 
 ALL_ATTACK_IDS = tuple(ATTACK_SPECS)
@@ -131,13 +127,14 @@ def build_attack_model(attack_id: str, input_dims: dict[str, int],
         weights = []
         biases = []
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            weights.append(Parameter(nn.glorot_uniform(rng, fan_in, fan_out, (fan_in, fan_out))))
-            biases.append(Parameter(np.zeros(fan_out)))
+            w = nn.glorot_uniform(rng, fan_in, fan_out, (fan_in, fan_out))
+            weights.append(Parameter(w.astype(np.float32)))
+            biases.append(Parameter(np.zeros(fan_out, dtype=np.float32)))
         branches.append(MlpBranch(kind=kind, widths=tuple(widths), weights=weights, biases=biases))
 
     concat_dim = sum(br.widths[-1] for br in branches)
-    head_w = Parameter(nn.glorot_uniform(rng, concat_dim, 2, (concat_dim, 2)))
-    head_b = Parameter(np.zeros(2))
+    head_w = Parameter(nn.glorot_uniform(rng, concat_dim, 2, (concat_dim, 2)).astype(np.float32))
+    head_b = Parameter(np.zeros(2, dtype=np.float32))
     return MultiInputMlp(attack_id=spec.attack_id, branches=branches,
                          head_w=head_w, head_b=head_b, input_dims=dict(input_dims))
 
@@ -153,7 +150,7 @@ def mlp_forward(model: MultiInputMlp, inputs: dict[str, np.ndarray],
         )
     embeddings = []
     for br in model.branches:
-        x = np.asarray(inputs[br.kind], dtype=np.float64)
+        x = np.asarray(inputs[br.kind], dtype=np.float32)
         if x.ndim != 2 or x.shape[1] != model.input_dims[br.kind]:
             raise ValueError(
                 f"input {br.kind} has shape {x.shape}, expected width {model.input_dims[br.kind]}"
@@ -215,6 +212,17 @@ def posterior_columns(num_classes: int, defense: DefenseConfig | None = None,
     return posterior_block_names(num_classes, pairwise)
 
 
+def _float32_inputs(inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The input blocks in float32, the MLPs' dtype; values not finite there are rejected."""
+    with np.errstate(over="ignore"):
+        out = {kind: np.asarray(mat, dtype=np.float32) for kind, mat in inputs.items()}
+    for kind, x in out.items():
+        bad = np.argwhere(~np.isfinite(x))
+        if len(bad):
+            raise ValueError(f"{kind} input row {bad[0, 0]} is not finite in float32")
+    return out
+
+
 def train_attack(attack_id: str, inputs: dict[str, np.ndarray], labels: np.ndarray,
                  seed: int, *, epochs: int = 200, learning_rate: float = 0.001,
                  dropout_rate: float = 0.5) -> MultiInputMlp:
@@ -227,6 +235,7 @@ def train_attack(attack_id: str, inputs: dict[str, np.ndarray], labels: np.ndarr
     if pos != neg:
         raise ValueError(f"attack training set must be balanced, got {pos} pos / {neg} neg")
 
+    inputs = _float32_inputs(inputs)
     input_dims = {kind: mat.shape[1] for kind, mat in inputs.items()}
     model = build_attack_model(attack_id, input_dims, stream(seed, "init"))
     drop_rng = stream(seed, "dropout")
@@ -241,7 +250,7 @@ def train_attack(attack_id: str, inputs: dict[str, np.ndarray], labels: np.ndarr
 
 
 def link_scores(model: MultiInputMlp, inputs: dict[str, np.ndarray]) -> np.ndarray:
-    """Per-pair link probability (softmax weight of the link class)."""
-    logits = mlp_forward(model, inputs)
-    probs = nn.softmax_with_temperature(logits, 1.0).data
+    """Per-pair link probability: the link class's softmax weight over float64 logits."""
+    logits = mlp_forward(model, _float32_inputs(inputs)).data.astype(np.float64)
+    probs = nn.softmax_with_temperature(Tensor(logits), 1.0).data
     return np.array(probs[:, 1])

@@ -1,9 +1,10 @@
-"""Dense float64 tensors with reverse-mode gradients, plus the Adam optimizer.
+"""Dense float32 or float64 tensors with reverse-mode gradients, plus Adam.
 
 The tape is a plain parent-pointer graph: each op returns a tensor holding
 a closure that scatters the output gradient back to its parents. Model
 sizes here (two-layer GNNs, five-layer MLPs at most) never justify
-anything fancier. No broadcasting beyond bias addition.
+anything fancier. No broadcasting beyond bias addition. Every op keeps its
+inputs' dtype: the attack MLPs run in float32, the GNNs in float64.
 """
 
 from __future__ import annotations
@@ -14,12 +15,13 @@ import numpy as np
 
 
 class Tensor:
-    """A float64 array plus an optional gradient and backward closure."""
+    """A float32 or float64 array plus an optional gradient and backward closure."""
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
+        arr = np.asarray(data)
+        arr = arr if arr.dtype == np.float32 else np.asarray(arr, dtype=np.float64)
         if not np.isfinite(arr).all():
             raise FloatingPointError("tensor initialized with non-finite values")
         self.data = arr
@@ -166,15 +168,15 @@ def scalar_mul(x: Tensor, s: Tensor) -> Tensor:
 
 def _relu_dropout_mult(pre: np.ndarray, rate: float,
                        rng: np.random.Generator | None) -> np.ndarray:
-    """The multiplier ReLU and inverted dropout share: ``pre > 0``, and at a
-    positive rate also a keep mask drawn from ``rng`` times ``1 / (1 - rate)``."""
+    """The multiplier ReLU and inverted dropout share, in ``pre``'s dtype: ``pre > 0``,
+    and at a positive rate also a keep mask drawn from ``rng`` times ``1 / (1 - rate)``."""
     if not (0.0 <= rate < 1.0):
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     mult = pre > 0.0
     if rate > 0.0:
         if rng is None:
             raise ValueError("training-mode dropout needs an explicit rng")
-        mult = mult * (rng.random(pre.shape) >= rate) * (1.0 / (1.0 - rate))
+        mult = mult * (rng.random(pre.shape, pre.dtype) >= rate) * pre.dtype.type(1 / (1 - rate))
     return mult
 
 

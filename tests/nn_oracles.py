@@ -4,7 +4,9 @@ replaced, kept as oracles.
 Every hidden activation used to be two ops, ``relu`` and then ``dropout``,
 every attack-MLP hidden layer was ``matmul``, ``add`` and the activation,
 and ``Tensor._accumulate`` copied the first gradient it received. These
-are those ops, that chain and that method as they were.
+are those ops, that chain and that method as they were, except that the
+dropout draws, the scale and the copied gradient follow the tensor's
+dtype, as the tape's ops do since the attack MLPs run in float32.
 """
 
 import numpy as np
@@ -29,8 +31,8 @@ def dropout(x, rate, training, rng=None):
         return x
     if rng is None:
         raise ValueError("training-mode dropout needs an explicit rng")
-    keep = rng.random(x.data.shape) >= rate
-    scale = 1.0 / (1.0 - rate)
+    keep = rng.random(x.data.shape, dtype=x.data.dtype) >= rate
+    scale = x.data.dtype.type(1.0 / (1.0 - rate))
     out_data = x.data * keep * scale
 
     def backward(g):
@@ -54,7 +56,7 @@ def dense_then_relu_dropout(h, w, b, rate=0.0, rng=None):
 
 def copying_accumulate(self, g):
     if self.grad is None:
-        self.grad = np.array(g, dtype=np.float64)
+        self.grad = np.array(g, dtype=self.data.dtype)
     else:
         self.grad = self.grad + g
 

@@ -1,9 +1,11 @@
 """Attack taxonomy conformance, architectures, training, and inference."""
 
+import attack_oracles
 import numpy as np
 import pytest
 from nn_oracles import use_oracle_tape
 
+from linklab import nn
 from linklab.attacks import (
     ATTACK_SPECS,
     attack_dataset_inputs,
@@ -161,6 +163,14 @@ class TestAssembleFeatures:
         assert feats["posterior"].shape == (7,)
 
 
+def taxonomy_inputs(spec, rng, rows=30):
+    """Random input blocks for every kind ``spec`` uses."""
+    used = {"posterior": spec.uses_posteriors, "node_attr": spec.uses_node_attrs,
+            "graph": spec.uses_graph_feats}
+    widths = {"posterior": 12, "node_attr": 10, "graph": 3}
+    return {kind: rng.normal(size=(rows, width)) for kind, width in widths.items() if used[kind]}
+
+
 class TestTrainAttack:
     def test_separable_features_high_accuracy(self):
         rng = np.random.default_rng(2)
@@ -205,18 +215,82 @@ class TestTrainAttack:
     def test_parameters_match_oracle_tape(self, attack_id, rate, monkeypatch):
         # every branch plan, on the tape before the fused dense layer and
         # the fused activation: matmul, add, relu, dropout
-        spec = ATTACK_SPECS[attack_id]
-        rng = np.random.default_rng(6)
-        used = {"posterior": spec.uses_posteriors, "node_attr": spec.uses_node_attrs,
-                "graph": spec.uses_graph_feats}
-        widths = {"posterior": 12, "node_attr": 10, "graph": 3}
-        inputs = {kind: rng.normal(size=(30, width)) for kind, width in widths.items() if used[kind]}
+        inputs = taxonomy_inputs(ATTACK_SPECS[attack_id], np.random.default_rng(6))
         labels = np.repeat([0, 1], 15)
         model = train_attack(attack_id, inputs, labels, seed=6, epochs=20, dropout_rate=rate)
         use_oracle_tape(monkeypatch)
         old = train_attack(attack_id, inputs, labels, seed=6, epochs=20, dropout_rate=rate)
         for p, q in zip(model.parameters(), old.parameters(), strict=True):
             assert p.data.tobytes() == q.data.tobytes()
+
+
+class TestFloat32Training:
+    @pytest.mark.parametrize("attack_id", sorted(ATTACK_SPECS))
+    def test_parameters_match_float64_oracle(self, attack_id):
+        # Same draws, same schedule, no dropout: only the precision differs.
+        # Adam divides each step by the gradient's running scale, so where a
+        # gradient is near float32 rounding a step moves by a fraction of the
+        # learning rate; the bound is a twentieth of one full step (the
+        # largest difference seen over three input seeds was 1.2e-5).
+        inputs = taxonomy_inputs(ATTACK_SPECS[attack_id], np.random.default_rng(6))
+        labels = np.repeat([0, 1], 15)
+        model = train_attack(attack_id, inputs, labels, seed=6, epochs=20, dropout_rate=0.0)
+        oracle = attack_oracles.train_attack(attack_id, inputs, labels, seed=6, epochs=20,
+                                             dropout_rate=0.0)
+        for p, q in zip(model.parameters(), oracle.parameters(), strict=True):
+            assert q.data.dtype == np.float64
+            np.testing.assert_allclose(p.data, q.data, rtol=0, atol=0.05 * 0.001)
+
+    @pytest.mark.parametrize("attack_id", sorted(ATTACK_SPECS))
+    def test_training_runs_in_float32_and_scores_in_float64(self, attack_id, monkeypatch,
+                                                            pipeline):
+        outputs, mults, updates = [], [], []
+        result, mult, step = nn._result, nn._relu_dropout_mult, nn.Adam.step
+
+        def recording_result(data, parents, backward):
+            outputs.append(data.dtype)
+            return result(data, parents, backward)
+
+        def recording_mult(pre, rate, rng):
+            out = mult(pre, rate, rng)
+            mults.append(out.dtype)
+            return out
+
+        def recording_step(self):
+            updates.extend(p.grad.dtype for p in self.params)
+            step(self)
+            updates.extend(m.dtype for m in self.first_moment + self.second_moment)
+
+        monkeypatch.setattr(nn, "_result", recording_result)
+        monkeypatch.setattr(nn, "_relu_dropout_mult", recording_mult)
+        monkeypatch.setattr(nn.Adam, "step", recording_step)
+        inputs = taxonomy_inputs(ATTACK_SPECS[attack_id], np.random.default_rng(3))
+        model = train_attack(attack_id, inputs, np.repeat([0, 1], 15), seed=3, epochs=3)
+        monkeypatch.undo()
+        assert {p.data.dtype for p in model.parameters()} == {np.dtype(np.float32)}
+        assert set(outputs) == set(mults) == set(updates) == {np.dtype(np.float32)}
+        assert len(mults) == 3 * sum(len(br.weights) for br in model.branches)
+        assert link_scores(model, inputs).dtype == np.float64
+        # the GNNs and their posteriors stay float64
+        g, bundle, shadow, ds = pipeline
+        assert {p.data.dtype for p in shadow.parameters()} == {np.dtype(np.float64)}
+        post_u, post_v = PosteriorTable(shadow, ds.graph).pair_posteriors(ds.pairs[:5], 1)
+        assert post_u.dtype == post_v.dtype == np.float64
+
+    def test_input_too_large_for_float32_is_rejected_by_kind_and_row(self):
+        rng = np.random.default_rng(1)
+        inputs = taxonomy_inputs(ATTACK_SPECS["a9"], rng)
+        assert np.isfinite(np.float64(1e39))
+        inputs["node_attr"][3, 2] = 1e39
+        labels = np.repeat([0, 1], 15)
+        match = r"^node_attr input row 3 is not finite in float32$"
+        with pytest.raises(ValueError, match=match):
+            train_attack("a9", inputs, labels, seed=0, epochs=2)
+        inputs["node_attr"][3, 2] = 0.0
+        model = train_attack("a9", inputs, labels, seed=0, epochs=2)
+        inputs["graph"][7, 0] = -np.inf
+        with pytest.raises(ValueError, match=r"^graph input row 7 is not finite in float32$"):
+            link_scores(model, inputs)
 
 
 @pytest.fixture(scope="module")
@@ -232,8 +306,9 @@ class TestInferLink:
 
     def test_equal_logits_half(self, model):
         # force the head to produce equal logits
-        logits = mlp_forward(model, {"posterior": np.zeros((1, 5))})
-        delta = logits.data[0, 1] - logits.data[0, 0]
+        # the float32 logits, read in float64 as link_scores reads them
+        logits = mlp_forward(model, {"posterior": np.zeros((1, 5))}).data.astype(np.float64)
+        delta = logits[0, 1] - logits[0, 0]
         probs = 1.0 / (1.0 + np.exp(-delta))
         score = link_scores(model, {"posterior": np.zeros((1, 5))})[0]
         assert score == pytest.approx(float(probs), abs=1e-12)
@@ -243,8 +318,8 @@ class TestInferLink:
         x = rng.normal(size=(50, 5))
         from linklab import nn as nnmod
 
-        logits = mlp_forward(model, {"posterior": x})
-        probs = nnmod.softmax_with_temperature(logits, 1.0).data
+        logits = mlp_forward(model, {"posterior": x}).data.astype(np.float64)
+        probs = nnmod.softmax_with_temperature(Tensor(logits), 1.0).data
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
         np.testing.assert_allclose(link_scores(model, {"posterior": x}), probs[:, 1], atol=1e-15)
 

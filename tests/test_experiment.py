@@ -360,6 +360,22 @@ class TestAttackPool:
         run_experiment(small_cfg(attacks=("a1", "b1"), epochs=5, attack_epochs=5))
         assert multiprocessing.active_children() == []
 
+    def test_input_too_large_for_float32_names_its_stage(self, monkeypatch):
+        original_inputs = experiment.attack_dataset_inputs
+
+        def overflowing(spec, *args, **kwargs):
+            inputs = original_inputs(spec, *args, **kwargs)
+            if spec.attack_id == "a4":
+                inputs["node_attr"][2, 0] = 1e39
+            return inputs
+
+        monkeypatch.setattr(experiment, "attack_dataset_inputs", overflowing)
+        self.cpus(monkeypatch, 2)
+        with pytest.raises(ValueError, match=r"^\[stage attack-a4\] node_attr input row 2 "
+                                             r"is not finite in float32$"):
+            run_experiment(small_cfg(attacks=("a1", "a4"), epochs=5, attack_epochs=5))
+        assert multiprocessing.active_children() == []
+
     def test_target_training_error_in_a_worker_names_its_stage(self, monkeypatch):
         if experiment.openblas_threads() is None:
             pytest.skip("no OpenBLAS loaded, so no pool")
