@@ -45,10 +45,9 @@ from .gnn import (
     save_gnn,
     train_gnn,
 )
-from .graph import Graph, Subgraph, khop_subgraph, load_dataset, neighbors
+from .graph import Graph, load_dataset
 from .metrics import (
     GroupReport,
-    accuracy,
     auc,
     leading_probability_cdf,
     pearson_correlation,

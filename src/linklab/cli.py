@@ -10,6 +10,7 @@ import numpy as np
 
 from .data import make_splits
 from .experiment import (
+    CONFIG_KEYS,
     config_from_mapping,
     export_test_features,
     load_or_generate,
@@ -30,10 +31,10 @@ from .rng import derive_seed
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key=value config file")
     parser.add_argument("--dataset", help="dataset directory, or omit for the synthetic generator")
-    parser.add_argument("--arch", help="target GNN architecture {gcn,sage,gat,gin}")
+    parser.add_argument("--arch", dest="target_arch", help="target GNN architecture {gcn,sage,gat,gin}")
     parser.add_argument("--shadow-arch", help="shadow GNN architecture")
-    parser.add_argument("--attack", help="comma-separated attack ids {b0,b1,b2,a0..a9}")
-    parser.add_argument("--hop", help="restrict to attacks at these hop counts, e.g. 0,1")
+    parser.add_argument("--attack", dest="attacks", help="comma-separated attack ids {b0,b1,b2,a0..a9}")
+    parser.add_argument("--hop", dest="hops", help="restrict to attacks at these hop counts, e.g. 0,1")
     parser.add_argument("--defense", help="defense {none,label,soft,edgerand,lapgraph}")
     parser.add_argument("--epsilon", type=float, help="privacy budget for DP defenses")
     parser.add_argument("--temperature", type=float, help="softmax temperature for the soft defense")
@@ -45,30 +46,12 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output directory for reports and artifacts")
 
 
-_FLAG_TO_KEY = {
-    "dataset": "dataset",
-    "arch": "target_arch",
-    "shadow_arch": "shadow_arch",
-    "attack": "attacks",
-    "hop": "hops",
-    "defense": "defense",
-    "epsilon": "epsilon",
-    "temperature": "temperature",
-    "shadow_fraction": "shadow_fraction",
-    "runs": "runs",
-    "seed": "seed",
-    "epochs": "epochs",
-    "attack_epochs": "attack_epochs",
-    "out": "out",
-    "epsilons": "epsilons",  # sweep's own flag; the other verbs have no such attribute
-}
-
-
 def _merged_mapping(args: argparse.Namespace) -> dict[str, str]:
+    """The config file's keys, overridden by every flag given; each flag's
+    ``dest`` is its key, and ``out`` and sweep's ``epsilons`` ride along."""
     mapping = parse_config_file(args.config) if args.config else {}
-    for flag, key in _FLAG_TO_KEY.items():
-        value = getattr(args, flag, None)
-        if value is not None:
+    for key, value in vars(args).items():
+        if value is not None and (key in CONFIG_KEYS or key in ("out", "epsilons")):
             mapping[key] = str(value)
     return mapping
 
@@ -147,12 +130,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 # The shadow side of ``transfer`` reads only its dataset, the seed of its
-# synthetic draw and its shadow fraction; the shadow GNN, the attacks, the
-# defense and the run count all come from the target config.
-_SHADOW_CONFIG_KEYS = {
-    "dataset", "synthetic_nodes", "synthetic_communities", "synthetic_p_in",
-    "synthetic_p_out", "synthetic_feature_dim", "synthetic_noise", "seed", "shadow_fraction",
-}
+# synthetic draw and its shadow fraction (the target's when it names none);
+# the shadow GNN, the attacks, the defense and the run count all come from
+# the target config.
+_SHADOW_CONFIG_KEYS = {key for key in CONFIG_KEYS if key.startswith("synthetic_")} | {
+    "dataset", "seed", "shadow_fraction"}
 
 
 def _cmd_transfer(args: argparse.Namespace) -> int:
@@ -166,6 +148,7 @@ def _cmd_transfer(args: argparse.Namespace) -> int:
         )
     if args.shadow_dataset:
         shadow_mapping["dataset"] = args.shadow_dataset
+    shadow_mapping.setdefault("shadow_fraction", str(cfg.shadow_fraction))
     cfg_shadow = config_from_mapping(shadow_mapping)
     report = run_experiment(cfg, keep_artifacts=bool(out), shadow=cfg_shadow)
     for attack_id in report.attack_ids:
@@ -180,6 +163,8 @@ def _cmd_transfer(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     report_path = os.path.join(args.out, "report.csv")
     summary_path = os.path.join(args.out, "summary.csv")
+    if not os.path.isfile(report_path):
+        raise SystemExit(f"report needs {report_path}, which does not exist")
     summarize_report_csv(report_path, summary_path)
     print(f"summary rebuilt at {summary_path}")
     return 0

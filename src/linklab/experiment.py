@@ -13,7 +13,7 @@ import ctypes
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -413,6 +413,9 @@ def _run_defenses(cfg: ExperimentConfig, defenses, shadow: ExperimentConfig | No
                 f"got {graph.feature_dim} vs {shadow_graph.feature_dim}"
             )
     transfer = shadow is not None
+    # the shadow side splits at its own config's fraction, which leaves the
+    # target half of an equal graph's split as it is
+    fraction = (shadow or cfg).shadow_fraction
     configs = [replace(cfg, defense=defense) for defense in defenses]
     per_defense = [[] for _ in configs]
     shadow_accs, durations = [], []
@@ -421,9 +424,9 @@ def _run_defenses(cfg: ExperimentConfig, defenses, shadow: ExperimentConfig | No
         run_seed = cfg.seed + run_idx
         keep = keep_artifacts and run_idx == 0
         with _stage("split"):
-            bundle = make_splits(graph, derive_seed(run_seed, "split"), cfg.shadow_fraction)
+            bundle = make_splits(graph, derive_seed(run_seed, "split"), fraction)
             shadow_bundle = bundle if shadow_graph is graph else make_splits(
-                shadow_graph, derive_seed(run_seed, "split-shadow"), shadow.shadow_fraction
+                shadow_graph, derive_seed(run_seed, "split-shadow"), fraction
             )
         with _attack_pool() as submit:
             targets = [submit(train_target, run_cfg, bundle.target_train, graph.num_classes,
@@ -463,7 +466,8 @@ def run_experiment(cfg: ExperimentConfig, keep_artifacts: bool = False,
     With ``shadow``, the shadow model comes from that config's dataset, a
     possibly different distribution, and posterior features switch to the
     class-count-independent transfer block. A shadow dataset equal to the
-    target's shares the target's splits, so only the features change.
+    target's shares the target's split, so only the features change; the
+    shadow half is subsampled at ``shadow.shadow_fraction``.
     """
     (report,) = _run_defenses(cfg, (cfg.defense,), shadow, keep_artifacts)
     return report
@@ -714,10 +718,24 @@ def _parse_hops(text: str) -> tuple[int | None, ...]:
         raise ValueError(f"hops must list 0, 1, 2 or none, got {text!r}") from None
 
 
-def _parsed(mapping: dict[str, str], key: str, default, kind: type):
-    """``mapping[key]`` read as ``kind``, or ``default`` when absent."""
+# Each config key once, its default read off ExperimentConfig(): SyntheticSpec's
+# fields as synthetic_*, the numbers of DefenseConfig and ExperimentConfig.
+_DEFAULT = ExperimentConfig()
+_NUMBER_KEYS = tuple(f.name for f in fields(ExperimentConfig)
+                     if type(getattr(_DEFAULT, f.name)) in (int, float))
+_DEFENSE_KEYS = tuple(f.name for f in fields(DefenseConfig) if f.name != "kind")
+CONFIG_KEYS = frozenset((
+    *(f"synthetic_{f.name}" for f in fields(SyntheticSpec)), *_NUMBER_KEYS, *_DEFENSE_KEYS,
+    "dataset", "target_arch", "shadow_arch", "attacks", "defense", "hops", "pairwise_ops",
+))
+
+
+def _parsed(mapping: dict[str, str], key: str, default):
+    """``mapping[key]`` read as the type of ``default`` (a number, or None
+    for a float), or ``default`` when absent."""
     if key not in mapping:
         return default
+    kind = float if default is None else type(default)
     try:
         return kind(mapping[key])
     except ValueError:
@@ -726,57 +744,38 @@ def _parsed(mapping: dict[str, str], key: str, default, kind: type):
 
 
 def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
-    """Build a typed config from string keys; unknown keys are rejected."""
-    known = {
-        "dataset", "synthetic_nodes", "synthetic_communities", "synthetic_p_in",
-        "synthetic_p_out", "synthetic_feature_dim", "synthetic_noise",
-        "target_arch", "shadow_arch", "attacks", "defense", "epsilon",
-        "temperature", "budget_split", "shadow_fraction", "runs", "seed",
-        "epochs", "attack_epochs", "hidden", "learning_rate", "dropout",
-        "pairwise_ops", "hops",
-    }
-    unknown = set(mapping) - known
+    """Build a typed config from string keys; unknown keys are rejected and
+    absent ones take ``ExperimentConfig()``'s values."""
+    unknown = set(mapping) - CONFIG_KEYS
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
 
     get = mapping.get
-    synthetic = SyntheticSpec(
-        nodes=_parsed(mapping, "synthetic_nodes", 400, int),
-        communities=_parsed(mapping, "synthetic_communities", 4, int),
-        p_in=_parsed(mapping, "synthetic_p_in", 0.1, float),
-        p_out=_parsed(mapping, "synthetic_p_out", 0.005, float),
-        feature_dim=_parsed(mapping, "synthetic_feature_dim", 32, int),
-        noise=_parsed(mapping, "synthetic_noise", 1.0, float),
-    )
-    defense_kind = DEFENSE_ALIASES.get(get("defense", "none"))
+    synthetic = SyntheticSpec(**{
+        f.name: _parsed(mapping, f"synthetic_{f.name}", getattr(_DEFAULT.synthetic, f.name))
+        for f in fields(SyntheticSpec)
+    })
+    defense_kind = DEFENSE_ALIASES.get(get("defense", _DEFAULT.defense.kind))
     if defense_kind is None:
         raise ValueError(f"unknown defense {mapping['defense']!r}")
-    defense = DefenseConfig(
-        kind=defense_kind,
-        temperature=_parsed(mapping, "temperature", 20.0, float),
-        epsilon=_parsed(mapping, "epsilon", None, float),
-        budget_split=_parsed(mapping, "budget_split", 0.01, float),
-    )
-    attacks = tuple(a.strip() for a in get("attacks", "a1").split(",") if a.strip())
-    target_arch = ARCH_ALIASES.get(get("target_arch", "sage"))
-    shadow_arch = ARCH_ALIASES.get(get("shadow_arch", "sage"))
+    defense = DefenseConfig(kind=defense_kind, **{
+        key: _parsed(mapping, key, getattr(_DEFAULT.defense, key)) for key in _DEFENSE_KEYS
+    })
+    attacks = _DEFAULT.attacks
+    if "attacks" in mapping:
+        attacks = tuple(a.strip() for a in mapping["attacks"].split(",") if a.strip())
+    target_arch = ARCH_ALIASES.get(get("target_arch", _DEFAULT.target_arch))
+    shadow_arch = ARCH_ALIASES.get(get("shadow_arch", _DEFAULT.shadow_arch))
     if target_arch is None or shadow_arch is None:
         raise ValueError("unknown GNN architecture in config")
     return ExperimentConfig(
-        dataset=get("dataset") or None,
+        dataset=get("dataset") or _DEFAULT.dataset,
         synthetic=synthetic,
         target_arch=target_arch,
         shadow_arch=shadow_arch,
         attacks=attacks,
         defense=defense,
-        hops=_parse_hops(mapping["hops"]) if "hops" in mapping else None,
-        shadow_fraction=_parsed(mapping, "shadow_fraction", 1.0, float),
-        runs=_parsed(mapping, "runs", 5, int),
-        seed=_parsed(mapping, "seed", 0, int),
-        epochs=_parsed(mapping, "epochs", 200, int),
-        attack_epochs=_parsed(mapping, "attack_epochs", 200, int),
-        hidden=_parsed(mapping, "hidden", 128, int),
-        learning_rate=_parsed(mapping, "learning_rate", 0.001, float),
-        dropout=_parsed(mapping, "dropout", 0.5, float),
-        pairwise=get("pairwise_ops", "all"),
+        hops=_parse_hops(mapping["hops"]) if "hops" in mapping else _DEFAULT.hops,
+        pairwise=get("pairwise_ops", _DEFAULT.pairwise),
+        **{key: _parsed(mapping, key, getattr(_DEFAULT, key)) for key in _NUMBER_KEYS},
     )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gnn import MessageStructure, TrainedGnn, gnn_forward, posteriors
-from .graph import Edge, Graph, khop_union, normalize_edge, row_entries
+from .graph import Graph, khop_union, row_entries
 from .nn import Tensor
 
 PAIRWISE_OP_NAMES = ("hadamard", "average", "weighted_l1", "weighted_l2")
@@ -75,7 +75,7 @@ class PosteriorTable:
     output temperature, each distinct k-hop query computed once per run.
 
     A query is the center's ``hop``-hop BFS subgraph of the graph with one
-    edge removed, as ``graph.khop_subgraph`` builds it: explicit self-loops
+    edge removed, as ``graph.khop_union`` builds it: explicit self-loops
     are dropped and every node gets one forced self-loop. Its key is
     (center, hop, removed edge); no edge is removed at hop 0 or for a
     non-edge, which cannot change the subgraph.
@@ -108,19 +108,6 @@ class PosteriorTable:
     @property
     def counts(self) -> TableCounts:
         return TableCounts(self._lookups, len(self._keys), tuple(self._union_nodes))
-
-    def query(self, center: int, hop: int, exclude: Edge | None = None) -> np.ndarray:
-        """Read-only posterior of ``center`` on its ``hop``-hop subgraph
-        with the edge ``exclude`` removed."""
-        n = self.graph.num_nodes
-        if not 0 <= center < n:
-            raise ValueError(f"node id {center} out of range [0, {n})")
-        a = b = n
-        if hop != 0 and exclude is not None and self.graph.has_edge(*exclude):
-            a, b = normalize_edge(*exclude)
-        post = self._lookup(hop, np.array([center]), np.array([a]), np.array([b]))[0]
-        post.setflags(write=False)
-        return post
 
     def pair_posteriors(self, pairs: np.ndarray, hop: int) -> tuple[np.ndarray, np.ndarray]:
         """Stacked ``(m, C)`` posteriors of the first and of the second node
@@ -162,7 +149,6 @@ class PosteriorTable:
             order = np.argsort(keys, kind="stable")
             self._keys = keys[order]
             self._posteriors = np.concatenate([self._posteriors, *fresh])[order]
-            self._posteriors.setflags(write=False)
             at = np.searchsorted(self._keys, codes)
         return self._posteriors[at]
 

@@ -6,8 +6,8 @@ in one read-only ``(E, 2)`` int64 array: each row is an unordered pair
 is an explicit self-loop. From it the graph builds CSR rows once:
 ``indices[indptr[v]:indptr[v + 1]]`` are the neighbors of ``v`` in
 ascending order, ``v`` itself only on a self-loop. Graphs are immutable
-after construction and safe to share; graphs and subgraphs compare and
-hash by identity.
+after construction and safe to share; graphs compare and hash by
+identity.
 """
 
 from __future__ import annotations
@@ -101,17 +101,6 @@ class Graph:
         i = np.searchsorted(row, v)
         return bool(i < len(row) and row[i] == v)
 
-    def _check_node(self, v: int) -> None:
-        if not (0 <= v < self.num_nodes):
-            raise ValueError(f"node id {v} out of range [0, {self.num_nodes})")
-
-
-def neighbors(g: Graph, v: int) -> np.ndarray:
-    """Read-only ascending ids of all nodes sharing an edge with ``v``;
-    includes ``v`` only on a self-loop."""
-    g._check_node(v)
-    return g.indices[g.indptr[v]:g.indptr[v + 1]]
-
 
 def row_entries(g: Graph, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every CSR entry of the nodes ``rows``, in row order, as two arrays:
@@ -121,36 +110,6 @@ def row_entries(g: Graph, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     owner = np.repeat(np.arange(len(rows)), counts)
     shift = starts - (np.cumsum(counts) - counts)
     return owner, g.indices[np.arange(len(owner)) + shift[owner]]
-
-
-@dataclass(frozen=True, eq=False)
-class Subgraph:
-    """The induced subgraph an inference query presents to a model.
-
-    ``nodes`` are parent node ids in ascending order; ``edges`` are the
-    sorted ``(i, j)`` pairs, ``i < j``, of local positions within ``nodes``
-    and carry no self-loops. ``feature_view`` holds the parent feature rows
-    in ``nodes`` order.
-    """
-
-    center: int
-    hop: int
-    nodes: tuple[int, ...]
-    edges: tuple[Edge, ...]
-    feature_view: np.ndarray
-
-    def __post_init__(self):
-        view = np.ascontiguousarray(np.asarray(self.feature_view, dtype=np.float64))
-        view.setflags(write=False)
-        object.__setattr__(self, "feature_view", view)
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def center_index(self) -> int:
-        return self.nodes.index(self.center)
 
 
 def khop_union(g: Graph, centers, hop: int, a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -189,16 +148,6 @@ def khop_union(g: Graph, centers, hop: int, a, b) -> tuple[np.ndarray, np.ndarra
     return union, np.stack([entry[inside], at[inside]], axis=1)
 
 
-def khop_subgraph(g: Graph, v: int, k: int, exclude: Edge | None = None) -> Subgraph:
-    """BFS-induced subgraph of depth ``k`` around ``v`` with ``exclude`` removed;
-    ``k = 0`` yields the single node. The one-query view of ``khop_union``."""
-    g._check_node(v)
-    a, b = (g.num_nodes, g.num_nodes) if exclude is None else exclude
-    nodes, edges = khop_union(g, [v], k, [a], [b])
-    return Subgraph(center=v, hop=k, nodes=tuple(nodes.tolist()),
-                    edges=tuple(map(tuple, edges.tolist())), feature_view=g.features[nodes])
-
-
 def induced_subgraph(g: Graph, node_ids) -> tuple[Graph, tuple[int, ...]]:
     """Induce the subgraph on ``node_ids`` with dense relabeling.
 
@@ -207,7 +156,7 @@ def induced_subgraph(g: Graph, node_ids) -> tuple[Graph, tuple[int, ...]]:
     ids = np.unique(np.asarray(node_ids, dtype=np.int64))
     bad = ids[(ids < 0) | (ids >= g.num_nodes)]
     if bad.size:
-        g._check_node(int(bad[0]))
+        raise ValueError(f"node id {bad[0]} out of range [0, {g.num_nodes})")
     local = np.full(g.num_nodes, -1, dtype=np.int64)
     local[ids] = np.arange(len(ids))
     mapped = local[g.edges]

@@ -1,4 +1,4 @@
-"""Evaluation: AUC, accuracy, robustness groups, correlation, link analyses."""
+"""Evaluation: AUC, robustness groups, correlation, link analyses."""
 
 from __future__ import annotations
 
@@ -30,14 +30,6 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
     ranks = average_ranks(scores)
     rank_sum = ranks[labels == 1].sum()
     return float((rank_sum - num_pos * (num_pos + 1) / 2.0) / (num_pos * num_neg))
-
-
-def accuracy(predictions, labels) -> float:
-    predictions = np.asarray(predictions)
-    labels = np.asarray(labels)
-    if predictions.shape != labels.shape:
-        raise ValueError("predictions and labels must have equal length")
-    return float(np.mean(predictions == labels))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ implementation did, and draw the same named streams.
 import numpy as np
 from hypothesis import strategies as st
 
-from linklab.graph import normalize_edge
+from linklab.graph import khop_union, normalize_edge
 from linklab.rng import stream
 
 
@@ -54,6 +54,14 @@ def khop_oracle(adj, v, k, exclude=None):
                         edges.add(e)
     index = {u: i for i, u in enumerate(nodes)}
     return nodes, tuple(sorted(normalize_edge(index[a], index[b]) for a, b in edges))
+
+
+def single_khop(g, v, k, exclude=None):
+    """``khop_union`` for the one query around ``v``, as ``khop_oracle``'s
+    ``(nodes, edges)`` tuples; no ``exclude`` removes no edge."""
+    a, b = (g.num_nodes, g.num_nodes) if exclude is None else exclude
+    nodes, edges = khop_union(g, [v], k, [a], [b])
+    return tuple(nodes.tolist()), tuple(map(tuple, edges.tolist()))
 
 
 def induced_oracle(g, node_ids):

@@ -45,7 +45,7 @@ def reference_features(spec, table, graph, pair, defense=None, transfer=False, p
     u, v = pair
     out = {}
     if spec.uses_posteriors:
-        post_u, post_v = table.query(u, spec.hop, pair), table.query(v, spec.hop, pair)
+        (post_u,), (post_v,) = table.pair_posteriors(np.array([pair]), spec.hop)
         if defense is not None and defense.kind == "label_only":
             out["posterior"] = label_only_feature(
                 int(np.argmax(post_u)), int(np.argmax(post_v)), table.model.num_classes

@@ -1,5 +1,6 @@
 """Orchestration: configs, determinism, threat model, transfer, sweep, CLI."""
 
+import argparse
 import multiprocessing
 import os
 from contextlib import contextmanager
@@ -13,9 +14,10 @@ from graph_oracles import adjacency_sets, proximity_oracle
 from linklab import cli, experiment
 from linklab.attacks import ALL_ATTACK_IDS
 from linklab.cli import main as cli_main
-from linklab.data import make_splits
+from linklab.data import make_splits, read_split_manifest
 from linklab.defenses import DefenseConfig
 from linklab.experiment import (
+    CONFIG_KEYS,
     ExperimentConfig,
     SyntheticSpec,
     config_from_mapping,
@@ -109,6 +111,16 @@ class TestConfig:
         assert cfg.defense.temperature == 10.0
         assert cfg.runs == 2
         assert cfg.synthetic.nodes == 80
+
+    def test_empty_mapping_is_the_default_config(self):
+        assert config_from_mapping({}) == ExperimentConfig()
+
+    def test_every_common_flag_sets_a_config_key(self):
+        # a flag whose dest is not a key would be dropped without a word
+        parser = argparse.ArgumentParser()
+        cli._add_common_flags(parser)
+        dests = {action.dest for action in parser._actions} - {"help", "config"}
+        assert dests - CONFIG_KEYS == {"out"}
 
     def test_unknown_key_rejected(self):
         # analyses and export_features are flags of the attack verb, not config keys
@@ -675,6 +687,12 @@ class TestCli:
                       "--epochs", "2", "--attack-epochs", "2", "--out", str(tmp_path / "out")])
         assert not (tmp_path / "out").exists()
 
+    def test_report_verb_without_report_names_the_file(self, tmp_path):
+        missing = os.path.join(str(tmp_path), "report.csv")
+        with pytest.raises(SystemExit, match=f"^report needs {missing}, which does not exist$"):
+            cli_main(["report", "--out", str(tmp_path)])
+        assert not (tmp_path / "summary.csv").exists()
+
     def test_report_verb(self, tmp_path):
         rep = run_experiment(small_cfg(runs=2))
         write_reports(rep, str(tmp_path))
@@ -769,6 +787,44 @@ class TestCli:
         ])
         assert code == 0
         assert "transfer" in capsys.readouterr().out
+
+    def test_transfer_shadow_fraction_on_the_same_graph(self, tmp_path):
+        # the shadow side becomes a subsample of the same shadow half, at the
+        # shadow config's fraction; the target half stays as it was
+        shadow_cfg = tmp_path / "shadow.cfg"
+        shadow_cfg.write_text("shadow_fraction = 0.5\n")
+        argv = ["transfer", "--runs", "1", "--attack", "a1", "--epochs", "2",
+                "--attack-epochs", "2"]
+        assert cli_main(argv + ["--out", str(tmp_path / "full")]) == 0
+        assert cli_main(argv + ["--shadow-config", str(shadow_cfg),
+                                "--out", str(tmp_path / "half")]) == 0
+        full, half = (read_split_manifest(str(tmp_path / name / "run0"))
+                      for name in ("full", "half"))
+        assert half["target_train"] == full["target_train"]
+        assert half["target_test"] == full["target_test"]
+        shadow_half = set(half["shadow_train"]) | set(half["shadow_test"])
+        assert shadow_half < set(full["shadow_train"]) | set(full["shadow_test"])
+        assert len(half["shadow_train"]) < len(full["shadow_train"])
+
+    @pytest.mark.parametrize("named, flag, expected", [
+        ("", ["--shadow-fraction", "0.5"], 0.5),
+        ("shadow_fraction = 0.25\n", ["--shadow-fraction", "0.5"], 0.25),
+    ])
+    def test_transfer_shadow_fraction_on_another_graph(self, tmp_path, monkeypatch,
+                                                       named, flag, expected):
+        splits = []
+
+        def recorded(graph, seed, fraction):
+            splits.append((seed, fraction))
+            return make_splits(graph, seed, fraction)
+
+        monkeypatch.setattr(experiment, "make_splits", recorded)
+        shadow_cfg = tmp_path / "shadow.cfg"
+        shadow_cfg.write_text("synthetic_communities = 5\n" + named)
+        assert cli_main(["transfer", "--runs", "1", "--seed", "3", "--attack", "a1",
+                         "--epochs", "2", "--attack-epochs", "2",
+                         "--shadow-config", str(shadow_cfg)] + flag) == 0
+        assert (derive_seed(3, "split-shadow"), expected) in splits
 
     def test_transfer_rejects_shadow_keys_it_ignores(self, tmp_path, monkeypatch):
         def no_run(*args, **kwargs):

@@ -24,7 +24,7 @@ from linklab.features import (
     transfer_block,
 )
 from linklab.gnn import train_gnn
-from linklab.graph import Graph, neighbors
+from linklab.graph import Graph
 
 
 def make_graph(n, edges, d=4):
@@ -105,9 +105,10 @@ class TestGraphBlock:
         edges = [(u, v) for u in range(40) for v in range(u + 1, 40) if rng.random() < 0.15]
         g = make_graph(40, edges)
         pairs = np.array([rng.choice(40, size=2, replace=False) for _ in range(50)])
+        adj = adjacency_sets(g)
         for (u, v), got in zip(pairs.tolist(), graph_block(g, pairs)):
-            nu = {w for w in neighbors(g, u).tolist() if w not in (u, v)}
-            nv = {w for w in neighbors(g, v).tolist() if w not in (u, v)}
+            nu = adj[u] - {u, v}
+            nv = adj[v] - {u, v}
             cn = len(nu & nv)
             union = len(nu | nv)
             expected = [float(cn), cn / union if union else 0.0, float(len(nu) * len(nv))]
@@ -126,9 +127,10 @@ class TestGraphBlock:
         edges = [(u, v) for u in range(25) for v in range(u + 1, 25) if rng.random() < 0.2]
         g = make_graph(25, edges)
         pairs = np.array([rng.choice(25, size=2, replace=False) for _ in range(40)])
+        adj = adjacency_sets(g)
         for (u, v), cn, jac, pa in zip(pairs.tolist(), *proximity_counts(g, pairs)):
-            nu = {w for w in neighbors(g, u).tolist() if w not in (u, v)}
-            nv = {w for w in neighbors(g, v).tolist() if w not in (u, v)}
+            nu = adj[u] - {u, v}
+            nv = adj[v] - {u, v}
             assert 0.0 <= jac <= 1.0
             assert cn <= min(len(nu), len(nv))
             assert pa == len(nu) * len(nv)

@@ -557,8 +557,11 @@ def trained(planted_split):
 
 
 def table_query(model, graph, center, hop, temperature=1.0):
-    """One k-hop posterior through the run's path: a posterior table's pass."""
-    return PosteriorTable(model, graph, temperature).query(center, hop)
+    """One k-hop posterior through the run's path: a posterior table's pass,
+    with the center paired with a non-neighbor, so no edge is removed."""
+    table = PosteriorTable(model, graph, temperature)
+    other = next(w for w in range(graph.num_nodes) if w != center and not graph.has_edge(center, w))
+    return table.pair_posteriors(np.array([(center, other)]), hop)[0][0]
 
 
 class TestKhopQuery:

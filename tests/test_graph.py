@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from graph_oracles import adjacency_sets, induced_oracle, khop_oracle, raw_graphs
+from graph_oracles import adjacency_sets, induced_oracle, khop_oracle, raw_graphs, single_khop
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,10 +11,10 @@ from linklab.graph import (
     Graph,
     cell_pairs,
     induced_subgraph,
-    khop_subgraph,
+    khop_union,
     load_dataset,
-    neighbors,
     normalize_edge,
+    row_entries,
     save_dataset,
     upper_cells,
 )
@@ -54,6 +54,11 @@ def bfs_oracle(adj_sets, start, depth, banned=None):
     return reached
 
 
+def neighbors(g, v):
+    """The CSR row of ``v`` as ``row_entries`` reads it."""
+    return row_entries(g, np.array([v]))[1]
+
+
 class TestGraphConstruction:
     def test_rejects_bad_edge(self):
         with pytest.raises(ValueError):
@@ -91,6 +96,8 @@ class TestNeighbors:
             oracle[v].add(u)
         for v in range(4):
             assert set(neighbors(g, v).tolist()) == oracle[v]
+        owner, nbrs = row_entries(g, np.array([3, 0, 3]))
+        assert owner.tolist() == [0, 1, 1, 1, 2] and nbrs.tolist() == [0, 1, 2, 3, 0]
 
     def test_excludes_self_without_self_loop(self):
         g = make_graph(3, [(0, 1)])
@@ -100,8 +107,8 @@ class TestNeighbors:
 
     def test_invalid_node_errors(self):
         g = make_graph(3, [(0, 1)])
-        with pytest.raises(ValueError):
-            neighbors(g, 3)
+        with pytest.raises(ValueError, match=r"node id 3 out of range \[0, 3\)"):
+            induced_subgraph(g, [0, 3])
 
     def test_symmetry_on_random_graphs(self):
         rng = np.random.default_rng(4)
@@ -114,52 +121,43 @@ class TestNeighbors:
 class TestKhopSubgraph:
     def test_zero_hop_is_self_loop_only(self):
         g = make_graph(5, [(0, 1), (1, 2), (1, 1)])
-        sub = khop_subgraph(g, 1, 0)
-        assert sub.nodes == (1,)
-        assert sub.edges == ()
-        assert sub.hop == 0
-        np.testing.assert_array_equal(sub.feature_view, g.features[[1]])
+        assert single_khop(g, 1, 0) == ((1,), ())
 
     def test_path_one_hop(self):
         g = make_graph(4, [(0, 1), (1, 2), (2, 3)])
-        sub = khop_subgraph(g, 1, 1)
-        assert sub.nodes == (0, 1, 2)
-        assert sub.edges == ((0, 1), (1, 2))
+        assert single_khop(g, 1, 1) == ((0, 1, 2), ((0, 1), (1, 2)))
 
     def test_invalid_inputs(self):
+        # a center out of range is rejected by the caller, PosteriorTable.pair_posteriors
         g = make_graph(3, [(0, 1)])
-        with pytest.raises(ValueError):
-            khop_subgraph(g, 9, 1)
-        with pytest.raises(ValueError):
-            khop_subgraph(g, 0, 3)
+        with pytest.raises(ValueError, match="hop count must be 0, 1, or 2, got 3"):
+            khop_union(g, [0], 3, [3], [3])
 
     def test_exclusion_removes_edge_and_frontier(self):
         g = make_graph(3, [(0, 1), (1, 2)])
-        sub = khop_subgraph(g, 0, 1, exclude=(1, 0))
-        assert sub.nodes == (0,)
-        assert sub.edges == ()
+        assert single_khop(g, 0, 1, exclude=(1, 0)) == ((0,), ())
 
     def test_matches_bfs_oracle_on_random_graphs(self):
         rng = np.random.default_rng(7)
         for trial in range(100):
             g = random_graph(rng, 30, 0.2)
-            adj = {v: set(neighbors(g, v).tolist()) for v in range(g.num_nodes)}
+            adj = adjacency_sets(g)
             v = int(rng.integers(g.num_nodes))
             k = int(rng.integers(0, 3))
             banned = None
             if g.num_edges and rng.random() < 0.7:
                 banned = tuple(g.edges[int(rng.integers(g.num_edges))].tolist())
             expected = bfs_oracle(adj, v, k, banned) if k else {v}
-            sub = khop_subgraph(g, v, k, exclude=banned)
-            assert set(sub.nodes) == expected
+            nodes, _ = single_khop(g, v, k, exclude=banned)
+            assert set(nodes) == expected
 
     def test_two_hop_superset_of_one_hop(self):
         rng = np.random.default_rng(9)
         g = random_graph(rng, 24, 0.15)
         for v in range(g.num_nodes):
             e = tuple(g.edges[0].tolist()) if g.num_edges else None
-            one = set(khop_subgraph(g, v, 1, exclude=e).nodes)
-            two = set(khop_subgraph(g, v, 2, exclude=e).nodes)
+            one = set(single_khop(g, v, 1, exclude=e)[0])
+            two = set(single_khop(g, v, 2, exclude=e)[0])
             assert one <= two
 
     def test_exclusion_never_adds_anything(self):
@@ -170,17 +168,15 @@ class TestKhopSubgraph:
             v = int(rng.integers(g.num_nodes))
             k = int(rng.integers(1, 3))
             e = edges[int(rng.integers(len(edges)))]
-            with_excl = khop_subgraph(g, v, k, exclude=e)
-            without = khop_subgraph(g, v, k)
-            assert set(with_excl.nodes) <= set(without.nodes)
-            parent = {(without.nodes[a], without.nodes[b]) for a, b in without.edges}
-            assert {(with_excl.nodes[a], with_excl.nodes[b]) for a, b in with_excl.edges} <= parent
+            with_nodes, with_edges = single_khop(g, v, k, exclude=e)
+            nodes, edges_kept = single_khop(g, v, k)
+            assert set(with_nodes) <= set(nodes)
+            parent = {(nodes[a], nodes[b]) for a, b in edges_kept}
+            assert {(with_nodes[a], with_nodes[b]) for a, b in with_edges} <= parent
 
     def test_local_edges_reindexed(self):
         g = make_graph(5, [(2, 4), (2, 3)])
-        sub = khop_subgraph(g, 2, 1)
-        assert sub.nodes == (2, 3, 4)
-        assert sub.edges == ((0, 1), (0, 2))
+        assert single_khop(g, 2, 1) == ((2, 3, 4), ((0, 1), (0, 2)))
 
 
 class TestInducedSubgraph:
@@ -220,8 +216,8 @@ class TestIdentity:
         twin = make_graph(4, [(0, 1), (1, 2)])
         assert g == g and g != twin
         assert len({g, g, twin}) == 2
-        sub = khop_subgraph(g, 1, 1)
-        assert sub == sub and sub != khop_subgraph(g, 1, 1)
+        sub, _ = induced_subgraph(g, [1, 2])
+        assert sub == sub and sub != induced_subgraph(g, [1, 2])[0]
         assert hash(sub) == hash(sub)
         assert _graphs_equal(g, twin)
 
@@ -325,8 +321,7 @@ class TestCsrCore:
             exclusions = [None, stray] + [(w, v) for w in adj[v]]
             for k in (0, 1, 2):
                 for exclude in exclusions:
-                    sub = khop_subgraph(g, v, k, exclude=exclude)
-                    assert (sub.nodes, sub.edges) == khop_oracle(adj, v, k, exclude)
+                    assert single_khop(g, v, k, exclude) == khop_oracle(adj, v, k, exclude)
         kept = data.draw(st.lists(st.integers(0, n - 1), max_size=n))
         sub, ids = induced_subgraph(g, kept)
         assert ({tuple(e) for e in sub.edges.tolist()}, ids) == induced_oracle(g, kept)

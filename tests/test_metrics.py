@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linklab.metrics import (
-    accuracy,
     auc,
     average_ranks,
     leading_probability_cdf,
@@ -120,26 +119,6 @@ class TestAuc:
     def test_average_ranks_ties(self):
         np.testing.assert_array_equal(average_ranks(np.array([10.0, 20.0, 20.0, 30.0])),
                                       [1.0, 2.5, 2.5, 4.0])
-
-
-class TestAccuracy:
-    def test_all_correct(self):
-        assert accuracy([1, 2, 3], [1, 2, 3]) == 1.0
-
-    def test_complement_zero(self):
-        labels = np.array([0, 1, 1, 0])
-        assert accuracy(1 - labels, labels) == 0.0
-
-    def test_random_predictions_near_chance(self):
-        rng = np.random.default_rng(6)
-        c = 5
-        preds = rng.integers(0, c, size=5000)
-        labels = rng.integers(0, c, size=5000)
-        assert abs(accuracy(preds, labels) - 1.0 / c) < 0.05
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            accuracy([1, 2], [1, 2, 3])
 
 
 class TestRobustnessGroups:
