@@ -56,8 +56,6 @@ ATTACK_SPECS: dict[str, AttackSpec] = {
     "b2": AttackSpec("b2", None, False, True, True),
 }
 
-ALL_ATTACK_IDS = tuple(ATTACK_SPECS)
-
 # Ordered (input kind, hidden widths) per classifier. The head takes the
 # concatenated final widths down to two logits.
 _BRANCH_PLANS: dict[str, tuple[tuple[str, tuple[int, ...]], ...]] = {

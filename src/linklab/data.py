@@ -174,24 +174,24 @@ def generate_planted_partition(n: int, communities: int, p_in: float, p_out: flo
     return Graph(num_nodes=n, edges=edges, features=features, labels=labels)
 
 
-def write_split_manifest(bundle: SplitBundle, directory: str, prefix: str = "") -> None:
+def write_split_manifest(bundle: SplitBundle, directory: str) -> None:
     """One text file per split listing the source-graph node ids."""
     os.makedirs(directory, exist_ok=True)
     for name, ids in bundle.split_ids().items():
-        with open(os.path.join(directory, f"{prefix}{name}.txt"), "w") as fh:
+        with open(os.path.join(directory, f"{name}.txt"), "w") as fh:
             for v in ids:
                 fh.write(f"{v}\n")
 
 
-def read_split_manifest(directory: str, prefix: str = "") -> dict[str, tuple[int, ...]]:
+def read_split_manifest(directory: str) -> dict[str, tuple[int, ...]]:
     out = {}
     for name in ("target_train", "target_test", "shadow_train", "shadow_test"):
-        path = os.path.join(directory, f"{prefix}{name}.txt")
+        path = os.path.join(directory, f"{name}.txt")
         with open(path) as fh:
             out[name] = tuple(int(line.strip()) for line in fh if line.strip())
     return out
 
 
-def bundle_from_manifest(g: Graph, directory: str, prefix: str = "") -> SplitBundle:
+def bundle_from_manifest(g: Graph, directory: str) -> SplitBundle:
     """Rebuild the exact SplitBundle recorded by ``write_split_manifest``."""
-    return _induce_bundle(g, **read_split_manifest(directory, prefix))
+    return _induce_bundle(g, **read_split_manifest(directory))

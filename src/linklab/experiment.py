@@ -38,7 +38,6 @@ from .defenses import DP_KINDS, DefenseConfig, perturb_graph, query_temperature
 from .features import (
     PAIRWISE_OP_NAMES,
     PosteriorTable,
-    export_features_csv,
     graph_block_names,
     node_attr_block_names,
     proximity_counts,
@@ -140,7 +139,9 @@ class ExperimentConfig:
 
 @dataclass
 class RunArtifacts:
-    """Everything from one run the analyses need to replay."""
+    """Everything from one run the analyses need to replay. ``bundle`` is
+    the run's one split record: the shadow side trained on its shadow
+    half, which under cross-graph transfer is the shadow graph's."""
 
     bundle: SplitBundle
     target: TrainedGnn
@@ -153,17 +154,26 @@ class RunArtifacts:
     posterior_columns: list[str]
 
 
+def summary_mean(aucs) -> float:
+    """The mean of one attack's per-run AUCs, as ``summary.csv`` reports
+    it: ``np.mean`` of a 1-D array, whose pairwise sum sets the last bit."""
+    return float(np.mean(np.asarray(aucs, dtype=np.float64)))
+
+
 @dataclass
 class RunReport:
     """Per-run attack AUCs plus their means and the model utilities."""
 
     attack_ids: tuple[str, ...]
     per_run_auc: dict[str, tuple[float, ...]]
-    mean_auc: dict[str, float]
     target_accuracies: tuple[float, ...]
     shadow_accuracies: tuple[float, ...]
     durations: tuple[float, ...]
     artifacts: RunArtifacts | None = None
+
+    @property
+    def mean_auc(self) -> dict[str, float]:
+        return {a: summary_mean(self.per_run_auc[a]) for a in self.attack_ids}
 
 
 @contextmanager
@@ -425,14 +435,17 @@ def _run_defenses(cfg: ExperimentConfig, defenses, shadow: ExperimentConfig | No
         keep = keep_artifacts and run_idx == 0
         with _stage("split"):
             bundle = make_splits(graph, derive_seed(run_seed, "split"), fraction)
-            shadow_bundle = bundle if shadow_graph is graph else make_splits(
-                shadow_graph, derive_seed(run_seed, "split-shadow"), fraction
-            )
+            if shadow_graph is not graph:
+                # the run's one split record takes its shadow half from the shadow graph
+                own = make_splits(shadow_graph, derive_seed(run_seed, "split-shadow"), fraction)
+                bundle = replace(bundle, shadow_train=own.shadow_train, shadow_test=own.shadow_test,
+                                 shadow_train_ids=own.shadow_train_ids,
+                                 shadow_test_ids=own.shadow_test_ids)
         with _attack_pool() as submit:
             targets = [submit(train_target, run_cfg, bundle.target_train, graph.num_classes,
                               run_seed) for run_cfg in configs]
             shadow_model, shadow_acc, attack_train, models = _shadow_side(
-                cfg, shadow_bundle.shadow_train, shadow_bundle.shadow_test,
+                cfg, bundle.shadow_train, bundle.shadow_test,
                 shadow_graph.num_classes, run_seed, transfer, submit,
             )
             for results, run_cfg, target in zip(per_defense, configs, targets):
@@ -450,7 +463,6 @@ def _run_defenses(cfg: ExperimentConfig, defenses, shadow: ExperimentConfig | No
         reports.append(RunReport(
             attack_ids=attacks,
             per_run_auc=per_run,
-            mean_auc={a: float(np.mean(per_run[a])) for a in attacks},
             target_accuracies=tuple(r[1] for r in results),
             shadow_accuracies=tuple(shadow_accs),
             durations=tuple(durations),
@@ -527,10 +539,19 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
+    """The one CSV writer: a header, then each row's cells as ``str`` gives
+    them (``repr`` for a Python float); a row as wide as the header."""
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
+            if len(row) != len(header):
+                raise ValueError(f"{path}: a row of {len(row)} cells under {len(header)} columns")
             fh.write(",".join(str(c) for c in row) + "\n")
+
+
+def _write_summary(path: str, per_run_auc: dict[str, tuple[float, ...]]) -> None:
+    _write_csv(path, ["attack", "mean_auc"],
+               [[a, _fmt(summary_mean(aucs))] for a, aucs in per_run_auc.items()])
 
 
 def write_reports(report: RunReport, outdir: str) -> None:
@@ -543,11 +564,7 @@ def write_reports(report: RunReport, outdir: str) -> None:
         row += [_fmt(report.per_run_auc[a][i]) for a in report.attack_ids]
         rows.append(row)
     _write_csv(os.path.join(outdir, "report.csv"), header, rows)
-    _write_csv(
-        os.path.join(outdir, "summary.csv"),
-        ["attack", "mean_auc"],
-        [[a, _fmt(report.mean_auc[a])] for a in report.attack_ids],
-    )
+    _write_summary(os.path.join(outdir, "summary.csv"), report.per_run_auc)
     _write_csv(
         os.path.join(outdir, "timing.csv"),
         ["run", "seconds"],
@@ -588,7 +605,11 @@ def write_run_artifacts(report: RunReport, outdir: str) -> None:
         )
 
 
-def write_analyses(report: RunReport, outdir: str, groups: int = 10) -> None:
+# The robustness analysis splits the positive test pairs into ten metric groups.
+ANALYSIS_GROUPS = 10
+
+
+def write_analyses(report: RunReport, outdir: str) -> None:
     """Robustness groups, correlation, surprising links, and the leading-
     probability CDF, computed from the retained run's scored pairs."""
     art = report.artifacts
@@ -607,9 +628,9 @@ def write_analyses(report: RunReport, outdir: str, groups: int = 10) -> None:
         scores = art.scores[attack_id]
         for metric in PAIR_METRIC_NAMES:
             values = metric_values[metric]
-            if int(pos_mask.sum()) >= groups:
+            if int(pos_mask.sum()) >= ANALYSIS_GROUPS:
                 rep = robustness_groups(scores[pos_mask], values[pos_mask],
-                                        scores[neg_mask], metric, groups=groups)
+                                        scores[neg_mask], metric, groups=ANALYSIS_GROUPS)
                 for g, (a, (hi, lo), size) in enumerate(
                         zip(rep.group_aucs, rep.boundaries, rep.group_sizes)):
                     group_rows.append([attack_id, metric, g, _fmt(a), _fmt(hi), _fmt(lo), size])
@@ -628,8 +649,8 @@ def write_analyses(report: RunReport, outdir: str, groups: int = 10) -> None:
     baselines = [b for b in ("b0", "b1") if b in art.scores]
     posterior_attacks = [a for a in report.attack_ids if ATTACK_SPECS[a].uses_posteriors]
     last_groups = {}
-    if int(pos_mask.sum()) >= groups:
-        last_groups = {metric: metric_groups(metric_values[metric][pos_mask], groups)[-1]
+    if int(pos_mask.sum()) >= ANALYSIS_GROUPS:
+        last_groups = {metric: metric_groups(metric_values[metric][pos_mask], ANALYSIS_GROUPS)[-1]
                        for metric in PAIR_METRIC_NAMES}
     for attack_id in posterior_attacks:
         for baseline_id in baselines:
@@ -669,30 +690,20 @@ def export_test_features(report: RunReport, outdir: str) -> None:
     }
     for attack_id, inputs in art.test_inputs.items():
         kinds = [kind for kind in names if kind in inputs]
-        columns = [name for kind in kinds for name in names[kind]]
-        matrix = np.concatenate([inputs[kind] for kind in kinds], axis=1)
-        export_features_csv(
-            os.path.join(outdir, f"features_{attack_id}.csv"), columns, matrix
-        )
+        matrix = np.concatenate([inputs[kind] for kind in kinds], axis=1, dtype=np.float64)
+        _write_csv(os.path.join(outdir, f"features_{attack_id}.csv"),
+                   [name for kind in kinds for name in names[kind]], matrix.tolist())
 
 
 def summarize_report_csv(report_path: str, summary_path: str) -> None:
-    """Recompute mean AUCs from a stored per-run report."""
+    """Rebuild ``summary.csv`` from a stored per-run report: each ``auc_*``
+    column's mean, as ``write_reports`` wrote it."""
     with open(report_path) as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    header = lines[0].split(",")
-    attack_cols = [(i, name[4:]) for i, name in enumerate(header) if name.startswith("auc_")]
-    sums = {name: 0.0 for _, name in attack_cols}
-    count = 0
-    for line in lines[1:]:
-        cells = line.split(",")
-        for i, name in attack_cols:
-            sums[name] += float(cells[i])
-        count += 1
-    if count == 0:
+        header, *rows = [line.strip().split(",") for line in fh if line.strip()]
+    if not rows:
         raise ValueError("report has no runs")
-    _write_csv(summary_path, ["attack", "mean_auc"],
-               [[name, _fmt(sums[name] / count)] for _, name in attack_cols])
+    _write_summary(summary_path, {name[4:]: tuple(float(row[i]) for row in rows)
+                                  for i, name in enumerate(header) if name.startswith("auc_")})
 
 
 def parse_config_file(path: str) -> dict[str, str]:

@@ -278,13 +278,3 @@ def transfer_block_names() -> list[str]:
 def label_block_names(num_classes: int) -> list[str]:
     return [f"label_count_{c}" for c in range(num_classes)]
 
-
-def export_features_csv(path: str, columns: list[str], matrix: np.ndarray) -> None:
-    """Write a feature matrix with one named column per feature."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[1] != len(columns):
-        raise ValueError("column names must match matrix width")
-    with open(path, "w") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in matrix.tolist():
-            fh.write(",".join(map(repr, row)) + "\n")

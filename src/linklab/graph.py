@@ -17,12 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-Edge = tuple[int, int]
-
-
-def normalize_edge(u: int, v: int) -> Edge:
-    return (u, v) if u <= v else (v, u)
-
 
 @dataclass(frozen=True, eq=False)
 class Graph:

@@ -375,13 +375,11 @@ def cosine_anneal(lr0: float, epoch: int, total: int) -> float:
 class Adam:
     """Adam with the canonical constants; only the learning rate varies."""
 
-    def __init__(self, params: list[Parameter], learning_rate: float = 0.001,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: list[Parameter], learning_rate: float = 0.001):
         self.params = list(params)
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.first_moment = [np.zeros_like(p.data) for p in self.params]
         self.second_moment = [np.zeros_like(p.data) for p in self.params]
         self.step_count = 0
@@ -392,11 +390,11 @@ class Adam:
         t = self.step_count
         for i, p in enumerate(self.params):
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            m = self.beta1 * self.first_moment[i] + (1.0 - self.beta1) * g
-            v = self.beta2 * self.second_moment[i] + (1.0 - self.beta2) * g * g
+            m = self.BETA1 * self.first_moment[i] + (1.0 - self.BETA1) * g
+            v = self.BETA2 * self.second_moment[i] + (1.0 - self.BETA2) * g * g
             self.first_moment[i] = m
             self.second_moment[i] = v
-            m_hat = m / (1.0 - self.beta1 ** t)
-            v_hat = v / (1.0 - self.beta2 ** t)
-            p.data = p.data - self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+            m_hat = m / (1.0 - self.BETA1 ** t)
+            v_hat = v / (1.0 - self.BETA2 ** t)
+            p.data = p.data - self.learning_rate * m_hat / (np.sqrt(v_hat) + self.EPS)
             p.grad = None

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from linklab.attacks import ALL_ATTACK_IDS, attack_dataset_inputs, spec_for, train_attack
+from linklab.attacks import ATTACK_SPECS, attack_dataset_inputs, spec_for, train_attack
 from linklab.data import build_pair_dataset, generate_planted_partition, make_splits
 from linklab.experiment import ExperimentConfig, SyntheticSpec, run_experiment
 from linklab.features import PosteriorTable
@@ -44,7 +44,7 @@ def symmetry_pipeline():
     attack_train = build_pair_dataset(bundle.shadow_train, seed=7)
     table = PosteriorTable(shadow, attack_train.graph)
     models = {}
-    for attack_id in ALL_ATTACK_IDS:
+    for attack_id in ATTACK_SPECS:
         inputs = attack_dataset_inputs(spec_for(attack_id), table, attack_train.graph,
                                        attack_train.pairs)
         models[attack_id] = train_attack(attack_id, inputs, attack_train.labels, seed=8, epochs=60)

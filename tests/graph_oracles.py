@@ -10,8 +10,14 @@ implementation did, and draw the same named streams.
 import numpy as np
 from hypothesis import strategies as st
 
-from linklab.graph import khop_union, normalize_edge
+from linklab.graph import khop_union
 from linklab.rng import stream
+
+Edge = tuple[int, int]
+
+
+def normalize_edge(u: int, v: int) -> Edge:
+    return (u, v) if u <= v else (v, u)
 
 
 def edge_set(g):

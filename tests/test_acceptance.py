@@ -9,16 +9,15 @@ import time
 import numpy as np
 import pytest
 from gnn_oracles import leaky_relu, masked_row_softmax, outer_sum
-from graph_oracles import adjacency_sets, single_khop
+from graph_oracles import adjacency_sets, normalize_edge, single_khop
 
 from linklab import nn
-from linklab.attacks import ALL_ATTACK_IDS, attack_dataset_inputs, link_scores, spec_for
+from linklab.attacks import ATTACK_SPECS, attack_dataset_inputs, link_scores, spec_for
 from linklab.data import generate_planted_partition
 from linklab.defenses import DefenseConfig, lap_graph, lap_graph_edge_estimate
 from linklab.experiment import ExperimentConfig, run_defense_sweep
 from linklab.features import PosteriorTable, graph_block
 from linklab.gnn import ARCHITECTURES, MessageStructure, gnn_forward, init_gnn
-from linklab.graph import normalize_edge
 from linklab.metrics import auc, average_ranks, pearson_correlation
 from linklab.nn import Parameter, Tensor
 from linklab.rng import stream
@@ -219,12 +218,12 @@ def test_criterion_3_symmetry_suite(symmetry_pipeline):
                            attack_dataset_inputs(spec_for(attack_id), table, graph, [pair]))[0]
 
     mismatches = 0
-    for attack_id in ALL_ATTACK_IDS:
+    for attack_id in ATTACK_SPECS:
         for u, v in pairs:
             if score(attack_id, (u, v)) != score(attack_id, (v, u)):
                 mismatches += 1
     report_line("criterion-3 symmetry suite", mismatches == 0,
-                f"{len(ALL_ATTACK_IDS)} specs x 200 pairs, {mismatches} mismatches")
+                f"{len(ATTACK_SPECS)} specs x 200 pairs, {mismatches} mismatches")
 
 
 # --------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from graph_oracles import adjacency_sets, proximity_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linklab.attacks import ALL_ATTACK_IDS, attack_dataset_inputs, spec_for
+from linklab.attacks import ATTACK_SPECS, attack_dataset_inputs, spec_for
 from linklab.data import build_pair_dataset, generate_planted_partition
 from linklab.defenses import DefenseConfig, label_only_feature, query_temperature
 from linklab.features import (
@@ -99,7 +99,7 @@ class TestBuilderOracle:
         table = PosteriorTable(model, graph, temperature)
         reference_table = PosteriorTable(model, graph, temperature)
         for oriented in (pairs, pairs[:, ::-1]):
-            for attack_id in ALL_ATTACK_IDS:
+            for attack_id in ATTACK_SPECS:
                 spec = spec_for(attack_id)
                 got = attack_dataset_inputs(spec, table, graph, oriented, defense=defense,
                                             transfer=transfer, pairwise=pairwise)

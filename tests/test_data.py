@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from graph_oracles import normalize_edge
 
 from linklab.data import (
     build_pair_dataset,
@@ -13,7 +14,7 @@ from linklab.data import (
     read_split_manifest,
     write_split_manifest,
 )
-from linklab.graph import Graph, normalize_edge
+from linklab.graph import Graph
 
 
 def make_graph(n, edges, d=4, labels=None):

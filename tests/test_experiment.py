@@ -3,6 +3,7 @@
 import argparse
 import multiprocessing
 import os
+import tempfile
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -10,15 +11,18 @@ import feature_oracles
 import numpy as np
 import pytest
 from graph_oracles import adjacency_sets, proximity_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linklab import cli, experiment
-from linklab.attacks import ALL_ATTACK_IDS
+from linklab.attacks import ATTACK_SPECS
 from linklab.cli import main as cli_main
 from linklab.data import make_splits, read_split_manifest
 from linklab.defenses import DefenseConfig
 from linklab.experiment import (
     CONFIG_KEYS,
     ExperimentConfig,
+    RunReport,
     SyntheticSpec,
     config_from_mapping,
     load_or_generate,
@@ -29,6 +33,7 @@ from linklab.experiment import (
     summarize_report_csv,
     write_analyses,
     write_reports,
+    write_run_artifacts,
 )
 from linklab.graph import Graph, save_dataset
 from linklab.rng import derive_seed
@@ -158,15 +163,24 @@ class TestRunExperiment:
         assert r1.per_run_auc == r2.per_run_auc
         assert r1.target_accuracies == r2.target_accuracies
 
-    def test_artifact_provenance(self):
-        rep = run_experiment(small_cfg(), keep_artifacts=True)
-        art = rep.artifacts
-        assert art.attack_train.graph is art.bundle.shadow_train
-        assert art.attack_test.graph is art.bundle.target_train
+    def test_artifact_provenance(self, tmp_path):
+        # one graph, then cross-graph transfer from a 300-node shadow graph
+        shadow = config_from_mapping({"synthetic_nodes": "300", "seed": "8"})
+        for name, cfg, shadow_cfg in (("plain", small_cfg(), None),
+                                      ("transfer", small_cfg(synthetic=SyntheticSpec()), shadow)):
+            rep = run_experiment(cfg, keep_artifacts=True, shadow=shadow_cfg)
+            art = rep.artifacts
+            assert art.attack_train.graph is art.bundle.shadow_train
+            assert art.attack_test.graph is art.bundle.target_train
+            write_run_artifacts(rep, str(tmp_path / name))
+            manifest = read_split_manifest(str(tmp_path / name / "run0"))
+            assert manifest == art.bundle.split_ids()
         # disjoint node universes at the source level
-        train_ids = set(art.bundle.shadow_train_ids)
-        test_ids = set(art.bundle.target_train_ids)
-        assert train_ids.isdisjoint(test_ids)
+        plain = read_split_manifest(str(tmp_path / "plain" / "run0"))
+        assert set(plain["shadow_train"]).isdisjoint(plain["target_train"])
+        # the shadow GNN trained on 4/5 of the shadow graph's 150-node half
+        assert len(manifest["shadow_train"]) == 120
+        assert max(manifest["shadow_train"]) < 300
 
     def test_attack_models_never_see_the_target_half(self, monkeypatch):
         cfg = small_cfg(attacks=("a0", "a1", "a4", "a9", "b1"))
@@ -296,7 +310,7 @@ class TestAttackPool:
         # last bits, so the pooled and in-process paths must both pin it.
         cora = SyntheticSpec(nodes=2708, communities=7, p_in=0.0083, p_out=0.0003,
                              feature_dim=32, noise=1.0)
-        cfg = small_cfg(synthetic=cora, attacks=ALL_ATTACK_IDS, epochs=5, attack_epochs=5)
+        cfg = small_cfg(synthetic=cora, attacks=tuple(ATTACK_SPECS), epochs=5, attack_epochs=5)
         made = self.pools(monkeypatch)
         original_shadow_side = experiment._shadow_side
         runs = []
@@ -588,6 +602,20 @@ class TestReportFiles:
         stored = (tmp_path / "summary.csv").read_bytes()
         summarize_report_csv(str(tmp_path / "report.csv"), str(tmp_path / "summary2.csv"))
         assert (tmp_path / "summary2.csv").read_bytes() == stored
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=20))
+    def test_report_verb_rebuilds_summary_bytes(self, runs):
+        # np.mean sums 8 or more values pairwise, so a running sum differs there
+        ones = (1.0,) * len(runs)
+        rep = RunReport(attack_ids=("a1", "b1"), per_run_auc=dict(zip(("a1", "b1"), zip(*runs))),
+                        target_accuracies=ones, shadow_accuracies=ones, durations=ones)
+        with tempfile.TemporaryDirectory() as out:
+            write_reports(rep, out)
+            summarize_report_csv(os.path.join(out, "report.csv"), os.path.join(out, "rebuilt.csv"))
+            with open(os.path.join(out, "summary.csv"), "rb") as written, \
+                    open(os.path.join(out, "rebuilt.csv"), "rb") as rebuilt:
+                assert rebuilt.read() == written.read()
 
     def test_analyses_outputs(self, tmp_path):
         cfg = small_cfg(attacks=("a1", "b0", "b1"))

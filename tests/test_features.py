@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from linklab.attacks import attack_dataset_inputs, spec_for
 from linklab.data import generate_planted_partition, make_splits
+from linklab.experiment import _write_csv
 from linklab.features import (
     PosteriorTable,
-    export_features_csv,
     graph_block,
     node_attr_block,
     pairwise_concat,
@@ -300,12 +300,13 @@ class TestPosteriorBlock:
 
 
 class TestCsvExport:
+    # feature matrices go out through the one CSV writer, as their lists
     def test_header_and_shape(self, tmp_path):
         path = str(tmp_path / "features.csv")
         cols = posterior_block_names(2)
         mat = np.arange(16, dtype=float).reshape(2, 8)
         mat[0, :5] = [-0.0, 1e-5, 1e16, 5e-324, 0.1 + 0.2]
-        export_features_csv(path, cols, mat)
+        _write_csv(path, cols, mat.tolist())
         lines = open(path).read().strip().split("\n")
         assert lines[0].split(",") == cols
         assert len(lines) == 3
@@ -315,4 +316,4 @@ class TestCsvExport:
 
     def test_rejects_width_mismatch(self, tmp_path):
         with pytest.raises(ValueError):
-            export_features_csv(str(tmp_path / "x.csv"), ["a"], np.zeros((2, 2)))
+            _write_csv(str(tmp_path / "x.csv"), ["a"], np.zeros((2, 2)).tolist())

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from gnn_oracles import DenseMessageStructure
-from graph_oracles import raw_graphs
+from graph_oracles import normalize_edge, raw_graphs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from nn_oracles import use_oracle_tape
@@ -25,7 +25,7 @@ from linklab.gnn import (
     save_gnn,
     train_gnn,
 )
-from linklab.graph import Graph, normalize_edge
+from linklab.graph import Graph
 from linklab.nn import Parameter, Tensor
 
 DATA = Path(__file__).parent / "data"

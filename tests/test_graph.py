@@ -2,7 +2,14 @@
 
 import numpy as np
 import pytest
-from graph_oracles import adjacency_sets, induced_oracle, khop_oracle, raw_graphs, single_khop
+from graph_oracles import (
+    adjacency_sets,
+    induced_oracle,
+    khop_oracle,
+    normalize_edge,
+    raw_graphs,
+    single_khop,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +20,6 @@ from linklab.graph import (
     induced_subgraph,
     khop_union,
     load_dataset,
-    normalize_edge,
     row_entries,
     save_dataset,
     upper_cells,

@@ -12,17 +12,18 @@ than ``TIE_GAP`` apart.
 import numpy as np
 import pytest
 from gnn_oracles import khop_query
+from graph_oracles import normalize_edge
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linklab.experiment as experiment_module
-from linklab.attacks import ALL_ATTACK_IDS, attack_dataset_inputs, spec_for
+from linklab.attacks import ATTACK_SPECS, attack_dataset_inputs, spec_for
 from linklab.data import build_pair_dataset, generate_planted_partition
 from linklab.defenses import DefenseConfig, label_only_feature, query_temperature
 from linklab.experiment import ExperimentConfig, SyntheticSpec, run_experiment
 from linklab.features import PASS_QUERIES, PosteriorTable, pairwise_concat
 from linklab.gnn import ARCHITECTURES, init_gnn, train_gnn
-from linklab.graph import Graph, normalize_edge
+from linklab.graph import Graph
 
 DEFENSES = {
     "none": None,
@@ -265,7 +266,7 @@ class TestThreatModel:
         cfg = ExperimentConfig(
             synthetic=SyntheticSpec(nodes=100, communities=3, p_in=0.15, p_out=0.01,
                                     feature_dim=8),
-            attacks=ALL_ATTACK_IDS, runs=1, seed=2, epochs=10, attack_epochs=5, hidden=16,
+            attacks=tuple(ATTACK_SPECS), runs=1, seed=2, epochs=10, attack_epochs=5, hidden=16,
         )
         art = run_experiment(cfg, keep_artifacts=True).artifacts
 
