@@ -56,11 +56,19 @@ def _merged_mapping(args: argparse.Namespace) -> dict[str, str]:
     return mapping
 
 
+def _config(mapping: dict[str, str]):
+    """``config_from_mapping``, ending the command with its one-line message
+    on an unknown key or a refused value rather than with a traceback."""
+    try:
+        return config_from_mapping(mapping)
+    except ValueError as err:
+        raise SystemExit(str(err)) from None
+
+
 def _build(args: argparse.Namespace):
     mapping = _merged_mapping(args)
     out = mapping.pop("out", None)
-    cfg = config_from_mapping(mapping)
-    return cfg, out
+    return _config(mapping), out
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -110,7 +118,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise SystemExit("sweep needs --epsilons, e.g. --epsilons 1,2,5,10")
     mapping.setdefault("defense", "edgerand")
     mapping["epsilon"] = "1.0"  # placeholder; the sweep substitutes each value
-    cfg = config_from_mapping(mapping)
+    cfg = _config(mapping)
     try:
         epsilons = [float(e) for e in str(epsilons_text).split(",") if e.strip()]
     except ValueError:
@@ -142,14 +150,14 @@ def _cmd_transfer(args: argparse.Namespace) -> int:
     shadow_mapping = parse_config_file(args.shadow_config) if args.shadow_config else {}
     ignored = sorted(set(shadow_mapping) - _SHADOW_CONFIG_KEYS)
     if ignored:
-        raise ValueError(
+        raise SystemExit(
             f"--shadow-config keys {ignored} are not read for the shadow side; "
             "set them in --config or on the command line"
         )
     if args.shadow_dataset:
         shadow_mapping["dataset"] = args.shadow_dataset
     shadow_mapping.setdefault("shadow_fraction", str(cfg.shadow_fraction))
-    cfg_shadow = config_from_mapping(shadow_mapping)
+    cfg_shadow = _config(shadow_mapping)
     report = run_experiment(cfg, keep_artifacts=bool(out), shadow=cfg_shadow)
     for attack_id in report.attack_ids:
         print(f"{attack_id} (transfer): mean AUC {report.mean_auc[attack_id]:.4f}")

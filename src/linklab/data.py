@@ -182,16 +182,3 @@ def write_split_manifest(bundle: SplitBundle, directory: str) -> None:
             for v in ids:
                 fh.write(f"{v}\n")
 
-
-def read_split_manifest(directory: str) -> dict[str, tuple[int, ...]]:
-    out = {}
-    for name in ("target_train", "target_test", "shadow_train", "shadow_test"):
-        path = os.path.join(directory, f"{name}.txt")
-        with open(path) as fh:
-            out[name] = tuple(int(line.strip()) for line in fh if line.strip())
-    return out
-
-
-def bundle_from_manifest(g: Graph, directory: str) -> SplitBundle:
-    """Rebuild the exact SplitBundle recorded by ``write_split_manifest``."""
-    return _induce_bundle(g, **read_split_manifest(directory))

@@ -5,6 +5,14 @@ a closure that scatters the output gradient back to its parents. Model
 sizes here (two-layer GNNs, five-layer MLPs at most) never justify
 anything fancier. No broadcasting beyond bias addition. Every op keeps its
 inputs' dtype: the attack MLPs run in float32, the GNNs in float64.
+
+Dropout draws its keep mask in one of two ways. ``dense_relu_dropout``, the
+hidden layer of the attack MLPs, takes one raw random bit per element at
+rate 0.5, every model's default: one generator word yields 64 mask
+elements, where a uniform draw spends a word (or half of one) on each.
+``relu_dropout``, the GNN layers' dropout, and every other rate compare one
+uniform per element with the rate, so GNN checkpoints and posteriors keep
+the draws they have always had.
 """
 
 from __future__ import annotations
@@ -166,17 +174,31 @@ def scalar_mul(x: Tensor, s: Tensor) -> Tensor:
     return _result(out_data, (x, s), backward)
 
 
-def _relu_dropout_mult(pre: np.ndarray, rate: float,
-                       rng: np.random.Generator | None) -> np.ndarray:
+def _packed_keep(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+    """A rate-0.5 keep mask from raw bits: bit ``k`` of raw word ``j``, read as
+    a little-endian ``uint64`` so the mask does not depend on the host's byte
+    order, is element ``64 * j + k`` of the flattened mask, kept when it is 1."""
+    n = math.prod(shape)
+    words = rng.bit_generator.random_raw(-(-n // 64)).astype("<u8", copy=False)
+    return np.unpackbits(words.view(np.uint8), count=n, bitorder="little").view(bool).reshape(shape)
+
+
+def _relu_dropout_mult(pre: np.ndarray, rate: float, rng: np.random.Generator | None,
+                       packed: bool = False) -> np.ndarray:
     """The multiplier ReLU and inverted dropout share, in ``pre``'s dtype: ``pre > 0``,
-    and at a positive rate also a keep mask drawn from ``rng`` times ``1 / (1 - rate)``."""
+    and at a positive rate also a keep mask drawn from ``rng`` times ``1 / (1 - rate)``.
+
+    The mask keeps an element where its uniform draw is at least ``rate``;
+    with ``packed`` at rate 0.5 it is ``_packed_keep``'s raw bits instead."""
     if not (0.0 <= rate < 1.0):
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     mult = pre > 0.0
     if rate > 0.0:
         if rng is None:
             raise ValueError("training-mode dropout needs an explicit rng")
-        mult = mult * (rng.random(pre.shape, pre.dtype) >= rate) * pre.dtype.type(1 / (1 - rate))
+        keep = (_packed_keep(pre.shape, rng) if packed and rate == 0.5
+                else rng.random(pre.shape, pre.dtype) >= rate)
+        mult = mult * keep * pre.dtype.type(1 / (1 - rate))
     return mult
 
 
@@ -185,7 +207,9 @@ def relu_dropout(x: Tensor, rate: float = 0.0, rng: np.random.Generator | None =
     ``rate`` and survivors are scaled by ``1 / (1 - rate)``.
 
     Rate 0, the default and the inference setting, draws nothing and is
-    plain ReLU. A positive rate needs ``rng``. Both steps share one
+    plain ReLU. A positive rate needs ``rng`` and draws one uniform per
+    element at every rate: the GNN layers drop through this op, and their
+    checkpoints and posteriors rest on those draws. Both steps share one
     multiplier, so the backward is a single product.
     """
     mult = _relu_dropout_mult(x.data, rate, rng)
@@ -202,10 +226,14 @@ def relu_dropout(x: Tensor, rate: float = 0.0, rng: np.random.Generator | None =
 def dense_relu_dropout(h: Tensor, w: Tensor, b: Tensor, rate: float = 0.0,
                        rng: np.random.Generator | None = None) -> Tensor:
     """``relu_dropout(h @ w + b, rate, rng)`` as one op: a dense hidden
-    layer with the same arithmetic and the same dropout draws as the chain.
+    layer with the same arithmetic as the chain, and the attack MLPs' only
+    hidden layer.
 
-    The backward is one product with the shared multiplier, two matrix
-    products and a column sum.
+    At rate 0.5 its keep mask is one raw random bit per element
+    (``_packed_keep``), which costs a small fraction of a uniform draw and
+    moves no GNN output, as only attack MLPs call this op. Any other rate
+    draws uniforms, as ``relu_dropout`` does. The backward is one product
+    with the shared multiplier, two matrix products and a column sum.
     """
     if (h.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1
             or h.data.shape[1] != w.data.shape[0] or b.data.shape[0] != w.data.shape[1]):
@@ -213,7 +241,7 @@ def dense_relu_dropout(h: Tensor, w: Tensor, b: Tensor, rate: float = 0.0,
                          f"+ {b.data.shape}")
     pre = h.data @ w.data
     pre += b.data
-    mult = _relu_dropout_mult(pre, rate, rng)
+    mult = _relu_dropout_mult(pre, rate, rng, packed=True)
     np.maximum(pre, 0.0, out=pre)
     if rate > 0.0:
         pre *= mult

@@ -251,9 +251,9 @@ class TestFloat32Training:
             outputs.append(data.dtype)
             return result(data, parents, backward)
 
-        def recording_mult(pre, rate, rng):
-            out = mult(pre, rate, rng)
-            mults.append(out.dtype)
+        def recording_mult(pre, rate, rng, packed=False):
+            out = mult(pre, rate, rng, packed)
+            mults.append((out.dtype, packed))
             return out
 
         def recording_step(self):
@@ -268,7 +268,9 @@ class TestFloat32Training:
         model = train_attack(attack_id, inputs, np.repeat([0, 1], 15), seed=3, epochs=3)
         monkeypatch.undo()
         assert {p.data.dtype for p in model.parameters()} == {np.dtype(np.float32)}
-        assert set(outputs) == set(mults) == set(updates) == {np.dtype(np.float32)}
+        assert set(outputs) == set(updates) == {np.dtype(np.float32)}
+        # every hidden layer draws its dropout mask from packed bits
+        assert set(mults) == {(np.dtype(np.float32), True)}
         assert len(mults) == 3 * sum(len(br.weights) for br in model.branches)
         assert link_scores(model, inputs).dtype == np.float64
         # the GNNs and their posteriors stay float64

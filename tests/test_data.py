@@ -4,14 +4,13 @@ import itertools
 
 import numpy as np
 import pytest
+from data_oracles import bundle_from_manifest, read_split_manifest
 from graph_oracles import normalize_edge
 
 from linklab.data import (
     build_pair_dataset,
-    bundle_from_manifest,
     generate_planted_partition,
     make_splits,
-    read_split_manifest,
     write_split_manifest,
 )
 from linklab.graph import Graph

@@ -3,6 +3,8 @@
 import argparse
 import multiprocessing
 import os
+import subprocess
+import sys
 import tempfile
 from contextlib import contextmanager
 from dataclasses import replace
@@ -10,6 +12,7 @@ from dataclasses import replace
 import feature_oracles
 import numpy as np
 import pytest
+from data_oracles import read_split_manifest
 from graph_oracles import adjacency_sets, proximity_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +20,7 @@ from hypothesis import strategies as st
 from linklab import cli, experiment
 from linklab.attacks import ATTACK_SPECS
 from linklab.cli import main as cli_main
-from linklab.data import make_splits, read_split_manifest
+from linklab.data import make_splits
 from linklab.defenses import DefenseConfig
 from linklab.experiment import (
     CONFIG_KEYS,
@@ -715,6 +718,22 @@ class TestCli:
                       "--epochs", "2", "--attack-epochs", "2", "--out", str(tmp_path / "out")])
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("line, message", [
+        ("epsilons = 1", "unknown config keys: ['epsilons']"),
+        ("runs = 0", "runs must be at least 1"),
+    ])
+    def test_config_error_is_one_line_without_traceback(self, tmp_path, line, message):
+        config = tmp_path / "bad.cfg"
+        config.write_text(line + "\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "linklab.cli", "attack", "--config", str(config),
+             "--dataset", str(tmp_path / "no-such-dataset")],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (1, "", message + "\n")
+
     def test_report_verb_without_report_names_the_file(self, tmp_path):
         missing = os.path.join(str(tmp_path), "report.csv")
         with pytest.raises(SystemExit, match=f"^report needs {missing}, which does not exist$"):
@@ -754,7 +773,7 @@ class TestCli:
         config = tmp_path / "bad.cfg"
         config.write_text("epsilons = 1\n")
         missing = str(tmp_path / "no-such-dataset")
-        with pytest.raises(ValueError, match=r"unknown config keys: \['epsilons'\]"):
+        with pytest.raises(SystemExit, match=r"^unknown config keys: \['epsilons'\]$"):
             cli_main([verb, "--config", str(config), "--dataset", missing])
 
     @pytest.mark.parametrize("line, match", [
@@ -765,13 +784,13 @@ class TestCli:
         config = tmp_path / "bad.cfg"
         config.write_text(line + "\n")
         missing = str(tmp_path / "no-such-dataset")
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(SystemExit, match=match):
             cli_main(["attack", "--config", str(config), "--dataset", missing])
 
     @pytest.mark.parametrize("flags, error, match", [
-        (["attack", "--defense", "edgerand", "--epsilon", "nan"], ValueError, "epsilon > 0, got nan"),
-        (["attack", "--defense", "lapgraph", "--epsilon", "inf"], ValueError, "epsilon > 0, got inf"),
-        (["attack", "--defense", "soft", "--temperature", "nan"], ValueError,
+        (["attack", "--defense", "edgerand", "--epsilon", "nan"], SystemExit, "epsilon > 0, got nan"),
+        (["attack", "--defense", "lapgraph", "--epsilon", "inf"], SystemExit, "epsilon > 0, got inf"),
+        (["attack", "--defense", "soft", "--temperature", "nan"], SystemExit,
          "temperature must be finite and positive, got nan"),
         (["sweep", "--epsilons", "nan"], ValueError, "epsilon > 0, got nan"),
         (["sweep", "--epsilons", "1,inf"], ValueError, "epsilon > 0, got inf"),
@@ -864,7 +883,7 @@ class TestCli:
             "synthetic_communities = 5\nseed = 8\nshadow_arch = gcn\nepochs = 3\n"
             "hidden = 16\nlearning_rate = 0.01\ndropout = 0.1\n"
         )
-        with pytest.raises(ValueError) as err:
+        with pytest.raises(SystemExit) as err:
             cli_main(["transfer", "--runs", "1", "--shadow-config", str(shadow_cfg)])
         message = str(err.value)
         for key in ("shadow_arch", "epochs", "hidden", "learning_rate", "dropout"):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from gnn_oracles import leaky_relu, masked_row_softmax, outer_sum
-from nn_oracles import dense_then_relu_dropout, relu_then_dropout
+from nn_oracles import dense_then_relu_dropout, packed_keep, relu_then_dropout
 
 from linklab import nn
 from linklab.nn import Adam, Parameter, Tensor
@@ -296,6 +296,37 @@ class TestDenseReluDropout:
         # the default rate is the inference setting: no rng needed
         out = nn.dense_relu_dropout(Tensor([[3.0]]), Tensor([[2.0]]), Tensor([1.0]))
         assert out.data.tolist() == [[7.0]]
+
+    @staticmethod
+    def _positive_layer(rows, cols, dtype=np.float64):
+        """Every pre-activation is 1, so the kept elements are the mask."""
+        return (Tensor(np.ones((rows, 1), dtype)), Tensor(np.ones((1, cols), dtype)),
+                Tensor(np.zeros(cols, dtype)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, 9), cols=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+           dtype=st.sampled_from([np.float32, np.float64]))
+    def test_rate_half_keeps_the_raw_bits(self, rows, cols, seed, dtype):
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        out = nn.dense_relu_dropout(*self._positive_layer(rows, cols, dtype), 0.5, rng)
+        keep = packed_keep((rows, cols), oracle_rng)
+        assert out.data.dtype == dtype
+        np.testing.assert_array_equal(out.data, np.where(keep, 2.0, 0.0))
+        # ceil(rows * cols / 64) raw words, and nothing else
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_rate_half_kept_fraction_within_binomial_bound(self):
+        # n fair bits: the kept count lies within five standard deviations,
+        # sqrt(n / 4), of n / 2, and so does each of a raw word's 64 bit
+        # positions over its n / 64 elements
+        n = 250 * 800
+        out = nn.dense_relu_dropout(*self._positive_layer(250, 800), 0.5,
+                                    np.random.default_rng(21))
+        kept = (out.data != 0.0).reshape(-1)
+        assert abs(kept.sum() - n / 2) <= 5 * math.sqrt(n / 4)
+        per_bit = kept.reshape(-1, 64).sum(axis=0)
+        assert np.all(np.abs(per_bit - n / 128) <= 5 * math.sqrt(n / 256))
+        assert set(out.data.reshape(-1).tolist()) == {0.0, 2.0}
 
     def test_rejects_bad_rate_or_missing_rng(self):
         args = (Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones(4)))
